@@ -82,7 +82,6 @@ class WlColorTable:
         self.iterations = iterations
         self._tables = [dict() for _ in range(iterations)]
         self._next = num_labels
-        self._hist = {}  # LabeledGraph (identity keyed) -> combined Counter
 
     def refine(self, g: LabeledGraph):
         """All per-round colorings plus the combined histogram."""
@@ -108,19 +107,8 @@ class WlColorTable:
             combined.update(colors)
         return per_round, combined
 
-    def histogram(self, g: LabeledGraph, cache: bool = False) -> Counter:
-        """Combined color histogram over rounds 0..h.
-
-        cache=True memoizes by graph object identity; only use it for
-        graphs that stay alive as long as the table (cached entries pin
-        their graphs).
-        """
-        if cache:
-            h = self._hist.get(g)
-            if h is None:
-                h = self.refine(g)[1]
-                self._hist[g] = h
-            return h
+    def histogram(self, g: LabeledGraph) -> Counter:
+        """Combined color histogram over rounds 0..h."""
         return self.refine(g)[1]
 
 
@@ -219,14 +207,24 @@ def _csr_from_hists(hists, vocab) -> sp.csr_matrix:
         shape=(len(hists), max(len(vocab), 1)))
 
 
-def kernel_matrix(cfg: KernelConfig, left, right, table: WlColorTable = None,
-                  cache_left: bool = False, cache_right: bool = False) -> np.ndarray:
+def safe_divide(out: np.ndarray, denom: np.ndarray) -> np.ndarray:
+    """out / denom in place where denom > 0, zero where it is not.
+
+    Normalized kernels use it so that an empty histogram (norm 0) scores
+    0 against everything instead of NaN.
+    """
+    np.divide(out, denom, out=out, where=denom > 0)
+    out[denom <= 0] = 0.0
+    return out
+
+
+def kernel_matrix(cfg: KernelConfig, left, right,
+                  table: WlColorTable = None) -> np.ndarray:
     """All-pairs kernel values, shape (len(left), len(right)).
 
     For wl_subtree one shared color table covers every comparison; pass a
     persistent table (matching iteration count and label base) to reuse
-    colors across calls. cache_left/cache_right memoize histograms by
-    graph identity inside that table.
+    colors across calls.
     """
     left, right = list(left), list(right)
     if not left or not right:
@@ -236,8 +234,8 @@ def kernel_matrix(cfg: KernelConfig, left, right, table: WlColorTable = None,
             table = WlColorTable(_label_base(left + right), cfg.wl_iterations)
         elif table.iterations != cfg.wl_iterations:
             raise KernelError("table iteration count does not match config")
-        lh = [table.histogram(g, cache=cache_left) for g in left]
-        rh = [table.histogram(g, cache=cache_right) for g in right]
+        lh = [table.histogram(g) for g in left]
+        rh = [table.histogram(g) for g in right]
         vocab = {}
         lm = _csr_from_hists(lh, vocab)
         rm = _csr_from_hists(rh, vocab)
@@ -249,9 +247,7 @@ def kernel_matrix(cfg: KernelConfig, left, right, table: WlColorTable = None,
         if cfg.normalized:
             ln = np.sqrt([_hist_dot(h, h) for h in lh])
             rn = np.sqrt([_hist_dot(h, h) for h in rh])
-            denom = np.outer(ln, rn)
-            np.divide(out, denom, out=out, where=denom > 0)
-            out[denom <= 0] = 0.0
+            safe_divide(out, np.outer(ln, rn))
     else:
         lv = np.stack([graphlet3_vector(g) for g in left])
         rv = np.stack([graphlet3_vector(g) for g in right])
@@ -259,10 +255,201 @@ def kernel_matrix(cfg: KernelConfig, left, right, table: WlColorTable = None,
         if cfg.normalized:
             ln = np.sqrt((lv * lv).sum(axis=1))
             rn = np.sqrt((rv * rv).sum(axis=1))
-            denom = np.outer(ln, rn)
-            np.divide(out, denom, out=out, where=denom > 0)
-            out[denom <= 0] = 0.0
+            safe_divide(out, np.outer(ln, rn))
     return out
+
+
+_KEY_MAX = int(np.iinfo(np.int64).max)
+
+
+def _key_span(n_ranks: int, base: int, digits: int) -> int:
+    """How many base-`base` digits one int64 key can append to a rank
+    below n_ranks: the largest k <= digits with n_ranks * base**k - 1
+    inside int64. Raises KernelError when not even one digit fits."""
+    cap = (_KEY_MAX + 1) // max(n_ranks, 1)
+    k, span = 0, 1
+    while k < digits and span * base <= cap:
+        span *= base
+        k += 1
+    if k == 0:
+        raise KernelError(
+            f"packing {n_ranks} ranks with base {base} overflows int64 keys")
+    return k
+
+
+def _packed(rank: np.ndarray, digits, base: int) -> np.ndarray:
+    """rank * base**k + the k digits (rows of `digits`, most significant
+    first), one int64 key per column."""
+    key = np.array(rank, dtype=np.int64)
+    for d in digits:
+        key *= base
+        key += d
+    return key
+
+
+class _Adjacency:
+    """CSR adjacency plus, per entry, its owning node (row) and its cell
+    in a (width, n) digit array (slot in the neighbor list, node)."""
+
+    def __init__(self, indptr: np.ndarray, indices: np.ndarray):
+        self.n = len(indptr) - 1
+        self.deg = np.diff(indptr)
+        self.indices = indices
+        self.row = np.repeat(np.arange(self.n), self.deg)
+        # position of each entry in a C-order (width, n) digit array
+        self.cell = (np.arange(len(indices)) - indptr[self.row]) * self.n \
+            + self.row
+        self.width = int(self.deg.max()) if self.n else 0
+
+    def digits(self, colors: np.ndarray, n_colors: int,
+               width: int) -> np.ndarray:
+        """(width, n) digits: row i holds every node's i-th smallest
+        neighbor color plus one, and 0 past the node's degree. Every
+        color is in [0, n_colors) and width is at least self.width."""
+        _key_span(self.n, n_colors, 1)  # row * n_colors + color fits
+        shift = self.row * n_colors
+        key = np.sort(shift + colors[self.indices])
+        out = np.zeros((width, self.n), dtype=np.int64)
+        out.reshape(-1)[self.cell] = key - shift + 1
+        return out
+
+
+def _adjacency_of(g: LabeledGraph) -> _Adjacency:
+    deg = np.fromiter(map(len, g.adj), dtype=np.int64, count=g.num_nodes)
+    indptr = np.concatenate(([0], np.cumsum(deg)))
+    return _Adjacency(indptr, np.fromiter(
+        (u for ns in g.adj for u in ns), dtype=np.int64,
+        count=int(indptr[-1])))
+
+
+def _lookup(keys: np.ndarray, key: np.ndarray):
+    """Positions of key in the sorted array keys, and which were found."""
+    if not len(keys):  # a union of empty graphs
+        return np.zeros(len(key), dtype=np.int64), np.zeros(len(key), bool)
+    pos = np.minimum(np.searchsorted(keys, key), len(keys) - 1)
+    return pos, keys[pos] == key
+
+
+class WlUnion:
+    """Subtree-kernel histograms of the parts of one refined disjoint union.
+
+    Built by ``refine_union``. Colors are dense class ranks per round,
+    and the classes of all rounds are laid end to end as columns, round t
+    taking columns offsets[t] to offsets[t + 1]. ``labels`` is the sorted
+    set of round-0 labels, ``steps[t]`` the sorted key set of each
+    compression step of round t + 1 and ``width`` the union's largest
+    degree. ``col_ptr``/``part``/``count`` hold the (column, part) counts
+    in CSC form and ``norms`` the parts' histogram norms.
+    """
+
+    def __init__(self, labels, steps, offsets, width, col_ptr, part,
+                 count, norms):
+        self.labels = labels
+        self.steps = steps
+        self.offsets = offsets
+        self.width = width
+        self.col_ptr = col_ptr
+        self.part = part
+        self.count = count
+        self.norms = norms
+
+    def columns(self, g: LabeledGraph):
+        """g's color histogram on the union's columns: (column ids,
+        counts). g is refined against the union's compression tables; a
+        color the union never produced matches no column and is left out,
+        along with every color refined from it."""
+        adj = _adjacency_of(g)
+        cls, found = _lookup(self.labels, np.asarray(g.labels, np.int64))
+        cls[~found] = -1
+        rounds = [cls]
+        width = max(self.width, adj.width)
+        for t, steps in enumerate(self.steps):
+            size = int(self.offsets[t + 1] - self.offsets[t])
+            lost = (cls < 0) | (adj.deg > self.width)
+            lost[adj.row[cls[adj.indices] < 0]] = True
+            digits = adj.digits(np.maximum(cls, 0), size, width)
+            rank, n_ranks, i = np.maximum(cls, 0), size, 0
+            for keys in steps:
+                k = _key_span(n_ranks, size + 1, self.width - i)
+                rank, found = _lookup(
+                    keys, _packed(rank, digits[i:i + k], size + 1))
+                lost |= ~found
+                n_ranks, i = len(keys), i + k
+            cls = np.where(lost, -1, rank)
+            rounds.append(cls)
+        cols = np.concatenate([c[c >= 0] + o
+                               for c, o in zip(rounds, self.offsets)])
+        return np.unique(cols, return_counts=True)
+
+    def dot(self, g: LabeledGraph) -> np.ndarray:
+        """Unnormalized kernel of every part against g."""
+        cols, counts = self.columns(g)
+        lo, hi = self.col_ptr[cols], self.col_ptr[cols + 1]
+        span = hi - lo
+        at = np.repeat(lo - np.cumsum(span) + span, span) \
+            + np.arange(int(span.sum()))
+        # bincount yields int64 when nothing matches, float64 otherwise
+        return np.bincount(self.part[at],
+                           weights=self.count[at] * np.repeat(counts, span),
+                           minlength=len(self.norms)).astype(np.float64,
+                                                             copy=False)
+
+
+def refine_union(indptr, indices, labels, sizes, iterations: int) -> WlUnion:
+    """Color refinement of a disjoint union of graphs, all parts at once.
+
+    The union is given in CSR form (indptr, indices over its nodes) with
+    round-0 labels per node; sizes[p] is the node count of part p, parts
+    being consecutive node ranges. Each round compresses every node's
+    (own color, sorted neighbor colors) signature exactly, with sorts
+    instead of a signature table: the color is extended by as many
+    neighbor digits (color + 1, or 0 past the node's degree) as fit in an
+    int64 key, and that key is replaced by its rank among the step's
+    distinct keys, until every neighbor is consumed. This is the sorted-
+    multiset relabeling of Shervashidze et al., "Weisfeiler-Lehman Graph
+    Kernels" (JMLR 2011). Nodes get the same class exactly when
+    WlColorTable would give them the same color, so each part's histogram
+    equals WlColorTable's up to column order.
+    """
+    adj = _Adjacency(np.asarray(indptr, dtype=np.int64),
+                     np.asarray(indices, dtype=np.int64))
+    width = adj.width
+    uniq_labels, cls = np.unique(np.asarray(labels, dtype=np.int64),
+                                 return_inverse=True)
+    n_classes = [len(uniq_labels)]
+    rounds = [cls]
+    all_steps = []
+    for _ in range(iterations):
+        size = n_classes[-1]
+        digits = adj.digits(cls, size, width)
+        rank, n_ranks, steps, i = cls, size, [], 0
+        while i < width:
+            k = _key_span(n_ranks, size + 1, width - i)
+            keys, rank = np.unique(
+                _packed(rank, digits[i:i + k], size + 1), return_inverse=True)
+            steps.append(keys)
+            n_ranks, i = len(keys), i + k
+        cls = rank
+        all_steps.append(steps)
+        n_classes.append(n_ranks)
+        rounds.append(cls)
+    # (column, part) counts in CSC order, from column-major packed keys
+    n_parts = len(sizes)
+    offsets = np.cumsum([0] + n_classes)
+    _key_span(int(offsets[-1]), n_parts, 1)
+    part_of = np.repeat(np.arange(n_parts), sizes)
+    keys, count = np.unique(
+        np.concatenate([(c + o) * n_parts + part_of
+                        for c, o in zip(rounds, offsets)]),
+        return_counts=True)
+    col = keys // n_parts
+    part = keys - col * n_parts
+    count = count.astype(np.float64)
+    norms = np.sqrt(np.bincount(part, weights=count * count,
+                                minlength=n_parts))
+    return WlUnion(uniq_labels, all_steps, offsets, width,
+                   np.searchsorted(col, np.arange(offsets[-1] + 1)), part,
+                   count, norms)
 
 
 def wl_indistinguishable(g1: LabeledGraph, g2: LabeledGraph) -> bool:

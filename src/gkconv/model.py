@@ -12,7 +12,10 @@ concatenated for the readout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -20,7 +23,8 @@ import scipy.sparse as sp
 from .graphs import (GraphError, LabeledGraph, LabelDictionary, ego_subgraph,
                      induced_subgraph, max_component_nodes)
 from .kernels import (GRAPHLET3, WL_SUBTREE, KernelConfig, WlColorTable,
-                      graphlet3_vector, kernel_matrix)
+                      graphlet3_vector, kernel_matrix, refine_union,
+                      safe_divide)
 from .quantizer import Codebook, CodebookStateError, assign, fit_update
 
 
@@ -231,14 +235,20 @@ def network_forward(net: NetworkConfig, params: ModelParams,
 @dataclass
 class LayerBatch:
     """Per-layer trace of one batched forward pass, consumed by the mask
-    edit search: the flat ego list (batch order), the response matrix
-    under the current masks, per-graph row slices, and an evaluator that
-    scores a candidate mask graph against the same egos."""
+    edit search: the response matrix under the current masks, per-graph
+    row slices, and an evaluator that scores a candidate mask graph
+    against the batch egos. The flat ego list (batch order) is built
+    from make_egos on first read only; the engine itself never needs
+    the ego graphs of a deep layer."""
 
-    egos: list
     before: np.ndarray
     slices: list
     responses: object  # callable: mask LabeledGraph -> (n_total,) ndarray
+    make_egos: object  # callable: () -> list of ego LabeledGraphs
+
+    @cached_property
+    def egos(self) -> list:
+        return self.make_egos()
 
 
 @dataclass
@@ -298,10 +308,10 @@ class _WlRowCache:
                             shape=(len(rows), max(len(self.vocab), 1)))
         return mat, norms
 
-    def mask_vector(self, g: LabeledGraph, cache: bool):
+    def mask_vector(self, g: LabeledGraph):
         """Dense count vector of g over the current vocabulary (unknown
         colors dropped, they cannot match any row) plus g's full norm."""
-        hist = self.table.histogram(g, cache=cache)
+        hist = self.table.histogram(g)
         vec = np.zeros(max(len(self.vocab), 1))
         norm_sq = 0
         for key, cnt in hist.items():
@@ -312,6 +322,15 @@ class _WlRowCache:
         return vec, float(np.sqrt(norm_sq))
 
 
+class _EgoUnion(NamedTuple):
+    """One graph's r-balls as a block-diagonal CSR union, int32 arrays."""
+
+    degree: np.ndarray  # per union node
+    nbrs: np.ndarray    # neighbor ids in the union, node by node
+    origin: np.ndarray  # node of the base graph each union node copies
+    sizes: np.ndarray   # node count per ball, in center order
+
+
 class ForwardEngine:
     """Batched forward passes with structural caching for one run.
 
@@ -319,16 +338,22 @@ class ForwardEngine:
     engine computes each graph's ego decomposition once per radius and
     relabels it per batch. First-layer inputs keep their labels for the
     whole run, so first-layer ego histograms live in one persistent color
-    table with cached sparse rows; deeper layers get a fresh table per
-    batch because quantized labels change. Graphlet counts ignore labels
-    entirely and are cached per ego structure. Kernel values are bit-for-
-    bit identical to the plain per-graph path: all histogram dot products
-    are sums of small integers, exact in float64 in any order.
+    table with cached sparse rows. Deeper layers get their labels from
+    the junctions, which change them on every batch: each graph's ego
+    balls are also kept as one block-diagonal CSR union per radius, every
+    batch refines the union of its graphs' balls in one array pass
+    (``kernels.refine_union``), and mask graphs are looked up in that
+    batch's compression tables. Graphlet counts
+    ignore labels entirely and are cached per ego structure. Kernel values
+    are bit-for-bit identical to the plain per-graph path: all histogram
+    dot products are sums of small integers, exact in float64 in any
+    order.
     """
 
     def __init__(self, net: NetworkConfig):
         self.net = net
         self._egos = {}      # (base graph, radius) -> list[EgoSubgraph]
+        self._unions = {}    # (base graph, radius) -> _EgoUnion
         self._l0_cache = None  # _WlRowCache when layer 0 uses wl_subtree
         self._g3 = {}        # ego graph -> graphlet count vector
 
@@ -338,6 +363,28 @@ class ForwardEngine:
         if out is None:
             out = [ego_subgraph(base, v, radius) for v in range(base.num_nodes)]
             self._egos[key] = out
+        return out
+
+    def _ego_union(self, base: LabeledGraph, radius: int) -> "_EgoUnion":
+        key = (base, radius)
+        out = self._unions.get(key)
+        if out is None:
+            temps = self._ego_templates(base, radius)
+            sizes = [t.graph.num_nodes for t in temps]
+            starts = np.cumsum([0] + sizes[:-1])
+            degree, nbrs = [], []
+            for t, off in zip(temps, starts.tolist()):
+                for ns in t.graph.adj:
+                    degree.append(len(ns))
+                    nbrs.extend(off + w for w in ns)
+            out = _EgoUnion(
+                degree=np.array(degree, dtype=np.int32),
+                nbrs=np.array(nbrs, dtype=np.int32),
+                origin=np.fromiter(
+                    chain.from_iterable(t.origin for t in temps),
+                    dtype=np.int32, count=sum(sizes)),
+                sizes=np.array(sizes, dtype=np.int32))
+            self._unions[key] = out
         return out
 
     def _layer0_cache(self, layer: LayerConfig) -> "_WlRowCache":
@@ -360,19 +407,49 @@ class ForwardEngine:
         mat, ego_norms = cache.matrix(egos)
         normalized = layer.kernel.normalized
 
-        def column(mask_graph, mask_cache):
-            vec, mnorm = cache.mask_vector(mask_graph, cache=mask_cache)
+        def column(mask_graph):
+            vec, mnorm = cache.mask_vector(mask_graph)
             if vec.shape[0] != mat.shape[1]:
                 vec = vec[:mat.shape[1]]
             col = mat @ vec
             if normalized:
-                denom = ego_norms * mnorm
-                np.divide(col, denom, out=col, where=denom > 0)
-                col[denom <= 0] = 0.0
+                safe_divide(col, ego_norms * mnorm)
             return col
 
-        z = np.column_stack([column(g, True) for g in mask_graphs])
-        return z, lambda mask_graph: column(mask_graph, False)
+        z = np.column_stack([column(g) for g in mask_graphs])
+        return z, column
+
+    def _wl_deep_layer(self, layer: LayerConfig, graphs, labels,
+                       mask_graphs):
+        """Responses of a layer whose labels change per batch: one
+        refinement of the union of the batch's ego balls; labels is the
+        flat node labeling of the batch. Returns (z, responses closure)."""
+        parts = [self._ego_union(g, layer.radius) for g in graphs]
+        node_off = np.cumsum([0] + [len(p.degree) for p in parts[:-1]])
+        label_off = np.cumsum([0] + [g.num_nodes for g in graphs[:-1]])
+        degree = np.concatenate([p.degree for p in parts])
+        union = refine_union(
+            np.concatenate(([0], np.cumsum(degree))),
+            np.concatenate([p.nbrs + o for p, o in zip(parts, node_off)]),
+            labels[np.concatenate([p.origin + o
+                                   for p, o in zip(parts, label_off)])],
+            np.concatenate([p.sizes for p in parts]),
+            layer.kernel.wl_iterations)
+        num_labels = layer.input_dictionary.size
+        iterations = layer.kernel.wl_iterations
+        normalized = layer.kernel.normalized
+
+        def column(mask_graph):
+            col = union.dot(mask_graph)
+            if normalized:
+                hist = WlColorTable(num_labels, iterations).histogram(
+                    mask_graph)
+                mnorm = float(np.sqrt(sum(c * c for c in hist.values())))
+                safe_divide(col, union.norms * mnorm)
+            return col
+
+        z = np.column_stack([column(g) for g in mask_graphs])
+        return z, column
 
     def _graphlet_layer(self, layer: LayerConfig, egos, mask_graphs):
         lv = np.stack([self._g3_vector(g) for g in egos])
@@ -383,13 +460,20 @@ class ForwardEngine:
             rv = graphlet3_vector(mask_graph)
             col = lv @ rv
             if normalized:
-                denom = ln * float(np.sqrt(rv @ rv))
-                np.divide(col, denom, out=col, where=denom > 0)
-                col[denom <= 0] = 0.0
+                safe_divide(col, ln * float(np.sqrt(rv @ rv)))
             return col
 
         z = np.column_stack([column(g) for g in mask_graphs])
         return z, column
+
+    def _relabeled_egos(self, graphs, cur, radius: int):
+        """Ego graphs of every node of the batch under cur's labels."""
+        out = []
+        for base, g in zip(graphs, cur):
+            lab = g.labels
+            out.extend(t.graph.with_labels([lab[o] for o in t.origin])
+                       for t in self._ego_templates(base, radius))
+        return out
 
     def forward_graphs(self, params: ModelParams, graphs,
                        fit_rng: np.random.Generator = None,
@@ -403,43 +487,41 @@ class ForwardEngine:
             raise ModelError("empty batch")
         net = self.net
         cur = graphs
+        labels_flat = None  # cur's labels in batch order, built when needed
         per_graph_blocks = [[] for _ in graphs]
         layer_traces = []
         for l, layer in enumerate(net.layers):
             for g in cur:
                 _check_layer_input(layer, g, params.masks[l])
-            graphlet = layer.kernel.kind == GRAPHLET3
             slices = []
-            egos_flat = []
             start = 0
-            for base, g in zip(graphs, cur):
-                temps = self._ego_templates(base, layer.radius)
-                if g is base or graphlet:
-                    # graphlet counting ignores labels, the structural
-                    # template is enough at any depth
-                    egos_flat.extend(t.graph for t in temps)
-                else:
-                    lab = g.labels
-                    egos_flat.extend(
-                        t.graph.with_labels([lab[o] for o in t.origin])
-                        for t in temps)
-                stop = start + g.num_nodes
-                slices.append((start, stop))
-                start = stop
+            for g in cur:
+                slices.append((start, start + g.num_nodes))
+                start += g.num_nodes
             mask_graphs = [mk.graph for mk in params.masks[l]]
-            if graphlet:
-                z_flat, responses = self._graphlet_layer(layer, egos_flat,
-                                                         mask_graphs)
-            elif l == 0:
-                z_flat, responses = self._wl_fast_layer(
-                    self._layer0_cache(layer), layer, egos_flat, mask_graphs)
+            if layer.kernel.kind == GRAPHLET3 or l == 0:
+                # graphlet counting ignores labels, so the structural
+                # template is enough at any depth; at layer 0 the
+                # templates carry the input labels
+                egos_flat = [t.graph for base in graphs
+                             for t in self._ego_templates(base, layer.radius)]
+                make_egos = (lambda egos=egos_flat: egos)
+                if layer.kernel.kind == GRAPHLET3:
+                    z_flat, responses = self._graphlet_layer(
+                        layer, egos_flat, mask_graphs)
+                else:
+                    z_flat, responses = self._wl_fast_layer(
+                        self._layer0_cache(layer), layer, egos_flat,
+                        mask_graphs)
             else:
-                table = WlColorTable(layer.input_dictionary.size,
-                                     layer.kernel.wl_iterations)
-                fresh = _WlRowCache(table)
-                z_flat, responses = self._wl_fast_layer(fresh, layer,
-                                                        egos_flat,
-                                                        mask_graphs)
+                if labels_flat is None:
+                    labels_flat = np.fromiter(
+                        chain.from_iterable(g.labels for g in cur),
+                        dtype=np.int64, count=start)
+                z_flat, responses = self._wl_deep_layer(
+                    layer, graphs, labels_flat, mask_graphs)
+                make_egos = (lambda cur=cur, r=layer.radius:
+                             self._relabeled_egos(graphs, cur, r))
             for (zl, zi) in zero_cols:
                 if zl == l:
                     z_flat[:, zi] = 0.0
@@ -447,8 +529,8 @@ class ForwardEngine:
                 blocks.append(z_flat[a:b])
             if want_trace:
                 layer_traces.append(LayerBatch(
-                    egos=egos_flat, before=z_flat, slices=slices,
-                    responses=responses))
+                    before=z_flat, slices=slices, responses=responses,
+                    make_egos=make_egos))
             if l < net.num_layers - 1:
                 if net.quantizer_k[l] is None:
                     continue

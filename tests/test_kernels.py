@@ -13,8 +13,9 @@ import pytest
 from gkconv.graphs import (LabeledGraph, complete_graph, cycle_graph,
                            disjoint_union, path_graph, star_graph)
 from gkconv.kernels import (GRAPHLET3, WL_SUBTREE, KernelConfig, KernelError,
-                            WlColorTable, graphlet3_vector, kernel_eval,
-                            kernel_matrix, wl_indistinguishable, wl_refine,
+                            WlColorTable, _key_span, graphlet3_vector,
+                            kernel_eval, kernel_matrix, refine_union,
+                            wl_indistinguishable, wl_refine,
                             wl_subtree_kernel)
 from conftest import random_graph
 
@@ -199,10 +200,8 @@ def test_kernel_matrix_shared_table_and_caching():
     kc = KernelConfig(kind=WL_SUBTREE, wl_iterations=2, normalized=True)
     plain = kernel_matrix(kc, left, right)
     table = WlColorTable(3, 2)
-    first = kernel_matrix(kc, left, right, table=table,
-                          cache_left=True, cache_right=True)
-    again = kernel_matrix(kc, left, right, table=table,
-                          cache_left=True, cache_right=True)
+    first = kernel_matrix(kc, left, right, table=table)
+    again = kernel_matrix(kc, left, right, table=table)
     assert np.array_equal(plain, first)
     assert np.array_equal(first, again)
 
@@ -223,3 +222,44 @@ def test_kernel_config_validation():
         KernelConfig(kind="unknown", wl_iterations=1, normalized=True)
     with pytest.raises(KernelError):
         KernelConfig(kind=WL_SUBTREE, wl_iterations=0, normalized=True)
+
+
+def _union_of(graphs):
+    """CSR arrays, labels and part sizes of a disjoint union."""
+    indptr, indices, labels, off = [0], [], [], 0
+    for g in graphs:
+        for ns in g.adj:
+            indices.extend(off + u for u in ns)
+            indptr.append(len(indices))
+        labels.extend(g.labels)
+        off += g.num_nodes
+    return indptr, indices, labels, [g.num_nodes for g in graphs]
+
+
+@pytest.mark.parametrize("iterations", [1, 3])
+def test_refine_union_matches_kernel_matrix(iterations):
+    rng = np.random.default_rng(53)
+    parts = [random_graph(rng, n_max=9, dict_size=3) for _ in range(12)]
+    parts.append(star_graph(5, [2] * 6))
+    probes = [random_graph(rng, n_max=6, dict_size=5) for _ in range(10)]
+    probes += [star_graph(11), LabeledGraph(1, [], [4])]
+    union = refine_union(*_union_of(parts), iterations)
+    raw = KernelConfig(kind=WL_SUBTREE, wl_iterations=iterations,
+                       normalized=False)
+    gram = kernel_matrix(raw, parts, parts + probes)
+    assert np.array_equal(union.norms, np.sqrt(np.diag(gram)))
+    for j, g in enumerate(parts + probes):
+        assert np.array_equal(union.dot(g), gram[:, j])
+
+
+def test_packed_key_guard():
+    # every rank below n_ranks followed by k digits must fit in int64
+    top = 2 ** 63 - 1
+    for n_ranks, base in ((4, 5), (26_000, 3_001), (1, 2), (2 ** 40, 2 ** 22)):
+        k = _key_span(n_ranks, base, 64)
+        assert n_ranks * base ** k - 1 <= top < n_ranks * base ** (k + 1) - 1
+    assert _key_span(4, 5, 3) == 3
+    with pytest.raises(KernelError):
+        _key_span(2 ** 40, 2 ** 23 + 1, 1)
+    with pytest.raises(KernelError):
+        _key_span(top, 2, 1)

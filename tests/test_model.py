@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 from gkconv.drd import EditProbabilities, init_mask_bank
-from gkconv.graphs import (LabelDictionary, complete_graph, cycle_graph,
-                           disjoint_union)
+from gkconv.graphs import (LabelDictionary, LabeledGraph, complete_graph,
+                           cycle_graph, disjoint_union, path_graph,
+                           star_graph)
 from gkconv.kernels import (GRAPHLET3, WL_SUBTREE, KernelConfig,
                             kernel_matrix)
 from gkconv.model import (CodebookStateError, ForwardEngine, LayerConfig,
@@ -238,3 +239,92 @@ def test_ego_subgraph_engine_consistency():
         ref = ego_subgraph(g, v, 2).graph
         assert egos[v].edges == ref.edges
         assert egos[v].labels == ref.labels
+
+
+# -- deep layers: one array refinement per batch ----------------------------
+
+WL3_RAW = KernelConfig(kind=WL_SUBTREE, wl_iterations=3, normalized=False)
+
+
+def fixed_mask(g):
+    return StructuralMask(workspace=g, edit_probs=EditProbabilities.zeros(
+        g.num_nodes, max(g.labels) + 1))
+
+
+def assert_deep_layer_exact(net, params, graphs, probes, fit=False):
+    """Engine features equal the per-graph reference bitwise, and the
+    layer-1 evaluator equals kernel_matrix over the traced egos."""
+    engine = ForwardEngine(net)
+    if fit:
+        engine.forward_graphs(params, graphs,
+                              fit_rng=np.random.default_rng(0))
+    trace = engine.forward_graphs(params, graphs, want_trace=True)
+    for g, feat in zip(graphs, trace.features):
+        assert np.array_equal(feat, network_forward(net, params, g))
+    lt = trace.layers[1]
+    assert "egos" not in vars(lt)  # built on first read only
+    kernel = net.layers[1].kernel
+    for probe in probes:
+        want = kernel_matrix(kernel, lt.egos, [probe])[:, 0]
+        assert np.array_equal(lt.responses(probe), want)
+    for i, mk in enumerate(params.masks[1]):
+        assert np.array_equal(lt.before[:, i], lt.responses(mk.graph))
+
+
+@pytest.mark.parametrize("kernel", [WL1, WL2, WL3_RAW])
+def test_deep_layer_passthrough_and_unseen_mask_colors(kernel):
+    # quantizer_k=(None,) feeds the input labels to a deep layer; the
+    # batch uses labels 0-1 of 6, the masks and probes also use 2-5
+    rng = np.random.default_rng(14)
+    l0 = layer(num_masks=2, nodes=4, radius=1, kernel=kernel, dict_size=6)
+    l1 = layer(num_masks=3, nodes=4, radius=2, kernel=kernel, dict_size=6)
+    net = NetworkConfig(layers=(l0, l1), quantizer_k=(None,))
+    params = make_params(net, rng)
+    params.masks[1] = [
+        fixed_mask(path_graph(4, [5, 4, 5, 3])),      # every label unseen
+        fixed_mask(path_graph(4, [0, 1, 5, 1])),      # one unseen label
+        fixed_mask(complete_graph(4, [1, 1, 1, 1])),  # unseen structure
+    ]
+    graphs = [random_graph(rng, n_max=8, dict_size=2) for _ in range(6)]
+    graphs.append(star_graph(6, [0] + [1] * 6))  # degree above any mask
+    assert max(max(g.labels) for g in graphs) == 1
+    probes = [path_graph(3, [0, 2, 1]), path_graph(3, [1, 0, 1]),
+              LabeledGraph(1, [], [0]), LabeledGraph(1, [], [5]),
+              star_graph(9, [0] * 10),  # degree above any batch node
+              complete_graph(3, [1, 1, 1]), cycle_graph(5, [0, 1, 0, 1, 1])]
+    assert_deep_layer_exact(net, params, graphs, probes)
+
+
+def test_deep_layer_quantized_labels_against_reference():
+    rng = np.random.default_rng(15)
+    l0 = layer(num_masks=3, nodes=4, radius=1, kernel=WL2, dict_size=2)
+    l1 = layer(num_masks=3, nodes=5, radius=3, kernel=WL2, dict_size=4)
+    net = NetworkConfig(layers=(l0, l1), quantizer_k=(4,))
+    params = make_params(net, rng)
+    graphs = [random_graph(rng, n_max=9, n_min=3, dict_size=2)
+              for _ in range(8)]
+    probes = [random_connected_graph(d, 4, rng) for d in (1, 2, 3, 5, 6)]
+    probes += [path_graph(2, [a, b]) for a in range(4) for b in range(4)]
+    assert_deep_layer_exact(net, params, graphs, probes, fit=True)
+
+
+def test_deep_layer_one_node_graphs():
+    rng = np.random.default_rng(16)
+    l0 = layer(num_masks=2, nodes=3, radius=1, kernel=WL2, dict_size=3)
+    l1 = layer(num_masks=2, nodes=3, radius=1, kernel=WL2, dict_size=3)
+    net = NetworkConfig(layers=(l0, l1), quantizer_k=(None,))
+    params = make_params(net, rng)
+    probes = [LabeledGraph(1, [], [0]), LabeledGraph(1, [], [2]),
+              path_graph(2, [0, 0]), path_graph(3, [1, 0, 1])]
+    # a one-node graph beside ordinary ones
+    mixed = [LabeledGraph(1, [], [1]), random_graph(rng, dict_size=3),
+             cycle_graph(4, [0, 1, 2, 0])]
+    assert_deep_layer_exact(net, params, mixed, probes)
+    # no neighbor anywhere in the batch
+    lonely = [LabeledGraph(1, [], [l]) for l in (0, 1, 1)]
+    assert_deep_layer_exact(net, params, lonely, probes)
+    # no node at all: nothing to score, nothing to look up
+    trace = ForwardEngine(net).forward_graphs(
+        params, [LabeledGraph(0, [], [])], want_trace=True)
+    assert trace.features[0].shape == (0, net.feature_dim)
+    assert trace.layers[1].responses(probes[2]).shape == (0,)
