@@ -271,6 +271,7 @@ class _WlRowCache:
         self.table = table
         self.vocab = {}
         self._rows = {}
+        self._bank = {}  # current mask graph -> histogram
 
     def row(self, g: LabeledGraph):
         r = self._rows.get(g)
@@ -308,10 +309,20 @@ class _WlRowCache:
                             shape=(len(rows), max(len(self.vocab), 1)))
         return mat, norms
 
+    def set_bank(self, mask_graphs):
+        """Keep the histograms of the current mask graphs only: a mask
+        unchanged since the last batch is not refined again, and a
+        replaced one is released."""
+        bank = self._bank
+        self._bank = {g: bank[g] if g in bank else self.table.histogram(g)
+                      for g in mask_graphs}
+
     def mask_vector(self, g: LabeledGraph):
         """Dense count vector of g over the current vocabulary (unknown
         colors dropped, they cannot match any row) plus g's full norm."""
-        hist = self.table.histogram(g)
+        hist = self._bank.get(g)
+        if hist is None:
+            hist = self.table.histogram(g)
         vec = np.zeros(max(len(self.vocab), 1))
         norm_sq = 0
         for key, cnt in hist.items():
@@ -405,6 +416,7 @@ class ForwardEngine:
                        egos, mask_graphs):
         """Responses via cached rows; returns (z, responses closure)."""
         mat, ego_norms = cache.matrix(egos)
+        cache.set_bank(mask_graphs)
         normalized = layer.kernel.normalized
 
         def column(mask_graph):

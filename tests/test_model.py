@@ -192,6 +192,22 @@ def test_engine_trace_responses_match_kernel_matrix():
             assert np.array_equal(lt.before[:, i], lt.responses(mk.graph))
 
 
+def test_engine_keeps_only_current_mask_histograms():
+    rng = np.random.default_rng(17)
+    net = NetworkConfig(layers=(layer(num_masks=2, dict_size=2),),
+                        quantizer_k=())
+    params = make_params(net, rng)
+    graphs = [random_graph(rng, dict_size=2) for _ in range(4)]
+    engine = ForwardEngine(net)
+    first = engine.forward_graphs(params, graphs)
+    old = params.masks[0][1]
+    params.masks[0][1] = old.replaced(random_connected_graph(4, 2, rng))
+    second = engine.forward_graphs(params, graphs)
+    bank = engine._l0_cache._bank
+    assert set(map(id, bank)) == {id(mk.graph) for mk in params.masks[0]}
+    assert np.array_equal(first.features[0][:, 0], second.features[0][:, 0])
+
+
 def test_engine_zero_cols_blanks_one_column():
     rng = np.random.default_rng(10)
     net = NetworkConfig(layers=(layer(num_masks=3, dict_size=2),),
