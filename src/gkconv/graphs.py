@@ -9,7 +9,11 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import chain, permutations
+from typing import NamedTuple
+
+import numpy as np
+import scipy.sparse as sp
 
 
 class GraphError(ValueError):
@@ -151,6 +155,74 @@ def ego_subgraph(g: LabeledGraph, v: int, r: int) -> EgoSubgraph:
                 edges.append((lp, local[w]))
     sub = LabeledGraph(len(origin), edges, [g.labels[p] for p in origin])
     return EgoSubgraph(graph=sub, origin=origin, center=local[v])
+
+
+class EgoBalls(NamedTuple):
+    """The r-balls of a sequence of graphs as one block-diagonal union.
+
+    There is one ball per node of the graphs laid end to end (graph by
+    graph, node by node). Union nodes run ball by ball, each ball's nodes
+    in ascending order of the node they copy, as in ``ego_subgraph``.
+    int32 arrays.
+    """
+
+    degree: np.ndarray  # per union node
+    nbrs: np.ndarray    # neighbor ids in the union, node by node, ascending
+    origin: np.ndarray  # node each union node copies, in end-to-end ids
+    sizes: np.ndarray   # node count per ball, in center order
+
+
+def _ranges(lo: np.ndarray, span: np.ndarray) -> np.ndarray:
+    """The integer ranges [lo[i], lo[i] + span[i]) laid end to end."""
+    return np.repeat(lo - np.cumsum(span) + span, span) \
+        + np.arange(int(span.sum()))
+
+
+def ego_balls(graphs, r: int) -> EgoBalls:
+    """Induced r-balls around every node of every graph, in array passes.
+
+    Reachability is r boolean sparse products over the CSR adjacency of
+    the graphs' disjoint union. An edge of the base graph is kept in a
+    ball when a searchsorted lookup finds both of its ends among the
+    ball's nodes. Ball i equals ``ego_subgraph`` of the i-th node.
+    """
+    if r < 0:
+        raise GraphError(f"negative radius {r}")
+    graphs = list(graphs)
+    deg = np.fromiter((len(ns) for g in graphs for ns in g.adj),
+                      dtype=np.int64, count=sum(g.num_nodes for g in graphs))
+    n = len(deg)
+    indptr = np.concatenate(([0], np.cumsum(deg)))
+    node_off = np.cumsum([0] + [g.num_nodes for g in graphs])[:-1]
+    indices = np.repeat(node_off, [2 * g.num_edges for g in graphs]) \
+        + np.fromiter(chain.from_iterable(
+            chain.from_iterable(g.adj) for g in graphs),
+            dtype=np.int64, count=int(indptr[-1]))
+    step = sp.csr_matrix((np.ones(len(indices), dtype=bool), indices, indptr),
+                         shape=(n, n)) + sp.eye(n, dtype=bool, format="csr")
+    reach = sp.eye(n, dtype=bool, format="csr")
+    for _ in range(r):
+        wider = reach @ step
+        if wider.nnz == reach.nnz:  # every ball already spans its component
+            break
+        reach = wider
+    reach.sort_indices()
+    sizes = np.diff(reach.indptr)
+    origin = reach.indices.astype(np.int64)
+    ball = np.repeat(np.arange(n), sizes)
+    # every base-graph neighbor of every ball node, as a (ball, node) key;
+    # ball nodes are sorted by that key, so a hit's position is its id
+    d = deg[origin]
+    members = ball * n + origin
+    cand = np.repeat(ball, d) * n + indices[_ranges(indptr[origin], d)]
+    pos = np.minimum(np.searchsorted(members, cand), len(members) - 1)
+    hit = members[pos] == cand
+    owner = np.repeat(np.arange(len(origin)), d)
+    return EgoBalls(
+        degree=np.bincount(owner[hit], minlength=len(origin)).astype(np.int32),
+        nbrs=pos[hit].astype(np.int32),
+        origin=origin.astype(np.int32),
+        sizes=sizes.astype(np.int32))
 
 
 def connected_components(g: LabeledGraph):

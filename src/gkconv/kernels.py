@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .graphs import GraphError, LabeledGraph
+from .graphs import GraphError, LabeledGraph, _ranges
 
 WL_SUBTREE = "wl_subtree"
 GRAPHLET3 = "graphlet3"
@@ -92,20 +92,54 @@ class WlColorTable:
         per_round = [colors]
         combined = Counter(colors)
         for t in range(self.iterations):
-            table = self._tables[t]
-            nxt = []
-            for v in range(g.num_nodes):
-                sig = (colors[v], tuple(sorted(colors[u] for u in g.adj[v])))
-                c = table.get(sig)
-                if c is None:
-                    c = self._next
-                    self._next += 1
-                    table[sig] = c
-                nxt.append(c)
-            colors = nxt
+            colors = self.intern(t, [
+                (colors[v], tuple(sorted(colors[u] for u in g.adj[v])))
+                for v in range(g.num_nodes)])
             per_round.append(colors)
             combined.update(colors)
         return per_round, combined
+
+    def intern(self, t: int, signatures) -> list:
+        """Round-(t + 1) colors of the given (own color, sorted neighbor
+        colors) signatures, drawing fresh ids for unseen ones."""
+        table, nxt, out = self._tables[t], self._next, []
+        for sig in signatures:
+            c = table.setdefault(sig, nxt)
+            if c == nxt:
+                nxt += 1
+            out.append(c)
+        self._next = nxt
+        return out
+
+    def union_colors(self, union: "WlUnion", indptr, indices) -> np.ndarray:
+        """This table's color of every column of a refined union, given
+        the union's CSR adjacency. Each class's signature is read off one
+        of its nodes and interned once, so union histograms and this
+        table's histograms share color ids."""
+        if len(union.labels) and union.labels[-1] >= self.num_labels:
+            raise KernelError(
+                f"node label outside dictionary of size {self.num_labels}")
+        if len(union.rounds) - 1 != self.iterations:
+            raise KernelError("union iteration count does not match table")
+        indptr = np.asarray(indptr, dtype=np.int64)
+        indices = np.asarray(indices, dtype=np.int64)
+        colors = [union.labels]
+        node_color = union.labels[union.rounds[0]]
+        for t, cls in enumerate(union.rounds[1:]):
+            rep = np.empty(int(union.offsets[t + 2] - union.offsets[t + 1]),
+                           dtype=np.int64)
+            rep[cls] = np.arange(len(cls))  # any node of a class will do
+            lo, deg = indptr[rep], indptr[rep + 1] - indptr[rep]
+            nb = node_color[indices[_ranges(lo, deg)]]
+            nb = nb[np.lexsort((nb, np.repeat(np.arange(len(rep)), deg)))]
+            flat, ends = nb.tolist(), np.cumsum(deg).tolist()
+            col = np.array(self.intern(t, [
+                (own, tuple(flat[a:b])) for own, a, b in
+                zip(node_color[rep].tolist(), [0] + ends[:-1], ends)]),
+                dtype=np.int64)
+            colors.append(col)
+            node_color = col[cls]
+        return np.concatenate(colors)
 
     def histogram(self, g: LabeledGraph) -> Counter:
         """Combined color histogram over rounds 0..h."""
@@ -322,6 +356,20 @@ def _adjacency_of(g: LabeledGraph) -> _Adjacency:
         count=int(indptr[-1])))
 
 
+def csc_dot(col_ptr, row, val, cols, weights, n_rows: int) -> np.ndarray:
+    """Sum over j of weights[j] times column cols[j] of the CSC matrix
+    (col_ptr, row, val) with n_rows rows. A column id past the matrix's
+    last column is an empty column."""
+    keep = cols < len(col_ptr) - 1
+    cols, weights = cols[keep], weights[keep]
+    lo = col_ptr[cols]
+    span = col_ptr[cols + 1] - lo
+    at = _ranges(lo, span)
+    # bincount yields int64 when nothing matches, float64 otherwise
+    return np.bincount(row[at], weights=val[at] * np.repeat(weights, span),
+                       minlength=n_rows).astype(np.float64, copy=False)
+
+
 def _lookup(keys: np.ndarray, key: np.ndarray):
     """Positions of key in the sorted array keys, and which were found."""
     if not len(keys):  # a union of empty graphs
@@ -336,15 +384,17 @@ class WlUnion:
     Built by ``refine_union``. Colors are dense class ranks per round,
     and the classes of all rounds are laid end to end as columns, round t
     taking columns offsets[t] to offsets[t + 1]. ``labels`` is the sorted
-    set of round-0 labels, ``steps[t]`` the sorted key set of each
-    compression step of round t + 1 and ``width`` the union's largest
-    degree. ``col_ptr``/``part``/``count`` hold the (column, part) counts
-    in CSC form and ``norms`` the parts' histogram norms.
+    set of round-0 labels, ``rounds[t]`` every node's class after round
+    t, ``steps[t]`` the sorted key set of each compression step of round
+    t + 1 and ``width`` the union's largest degree. ``col_ptr``/``part``/
+    ``count`` hold the (column, part) counts in CSC form and ``norms`` the
+    parts' histogram norms.
     """
 
-    def __init__(self, labels, steps, offsets, width, col_ptr, part,
+    def __init__(self, labels, rounds, steps, offsets, width, col_ptr, part,
                  count, norms):
         self.labels = labels
+        self.rounds = rounds
         self.steps = steps
         self.offsets = offsets
         self.width = width
@@ -383,16 +433,8 @@ class WlUnion:
 
     def dot(self, g: LabeledGraph) -> np.ndarray:
         """Unnormalized kernel of every part against g."""
-        cols, counts = self.columns(g)
-        lo, hi = self.col_ptr[cols], self.col_ptr[cols + 1]
-        span = hi - lo
-        at = np.repeat(lo - np.cumsum(span) + span, span) \
-            + np.arange(int(span.sum()))
-        # bincount yields int64 when nothing matches, float64 otherwise
-        return np.bincount(self.part[at],
-                           weights=self.count[at] * np.repeat(counts, span),
-                           minlength=len(self.norms)).astype(np.float64,
-                                                             copy=False)
+        return csc_dot(self.col_ptr, self.part, self.count, *self.columns(g),
+                       len(self.norms))
 
 
 def refine_union(indptr, indices, labels, sizes, iterations: int) -> WlUnion:
@@ -447,7 +489,7 @@ def refine_union(indptr, indices, labels, sizes, iterations: int) -> WlUnion:
     count = count.astype(np.float64)
     norms = np.sqrt(np.bincount(part, weights=count * count,
                                 minlength=n_parts))
-    return WlUnion(uniq_labels, all_steps, offsets, width,
+    return WlUnion(uniq_labels, rounds, all_steps, offsets, width,
                    np.searchsorted(col, np.arange(offsets[-1] + 1)), part,
                    count, norms)
 

@@ -15,15 +15,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 
-from .graphs import (GraphError, LabeledGraph, LabelDictionary, ego_subgraph,
-                     induced_subgraph, max_component_nodes)
+from .graphs import (EgoBalls, GraphError, LabeledGraph, LabelDictionary,
+                     ego_balls, ego_subgraph, induced_subgraph,
+                     max_component_nodes)
 from .kernels import (GRAPHLET3, WL_SUBTREE, KernelConfig, WlColorTable,
-                      graphlet3_vector, kernel_matrix, refine_union,
+                      csc_dot, graphlet3_vector, kernel_matrix, refine_union,
                       safe_divide)
 from .quantizer import Codebook, CodebookStateError, assign, fit_update
 
@@ -238,8 +238,8 @@ class LayerBatch:
     edit search: the response matrix under the current masks, per-graph
     row slices, and an evaluator that scores a candidate mask graph
     against the batch egos. The flat ego list (batch order) is built
-    from make_egos on first read only; the engine itself never needs
-    the ego graphs of a deep layer."""
+    from make_egos on first read only; the subtree-kernel engine never
+    needs ego graphs."""
 
     before: np.ndarray
     slices: list
@@ -258,113 +258,120 @@ class BatchTrace:
 
 
 class _WlRowCache:
-    """Sparse histogram rows over a shared, growing color vocabulary.
+    """Layer-0 subtree-kernel rows, one sparse block per input graph.
 
-    Rows are cached per graph object. Colors first seen in later graphs
-    extend the vocabulary; existing rows stay valid because their column
-    ids never move. Dot products against a mask vector only need the
-    mask's counts on already-seen columns: a color absent from every
-    cached row cannot contribute to any product.
+    Layer-0 labels never change, so a graph's ego balls are refined once:
+    the first batch that brings the graph refines them together with the
+    balls of every other new graph of the batch (``refine_union``). The
+    union's classes are mapped to the colors of one persistent
+    WlColorTable, which also refines the mask graphs, and a color id is
+    its column. Stored blocks stay valid as new colors extend the table,
+    since existing ids never move.
     """
 
     def __init__(self, table: WlColorTable):
         self.table = table
-        self.vocab = {}
-        self._rows = {}
-        self._bank = {}  # current mask graph -> histogram
+        self._blocks = {}  # graph -> (row pointers, columns, counts, norms)
+        self._bank = {}    # current mask graph -> (columns, counts, norm)
 
-    def row(self, g: LabeledGraph):
-        r = self._rows.get(g)
-        if r is None:
-            hist = self.table.histogram(g)
-            idx = np.empty(len(hist), dtype=np.int64)
-            dat = np.empty(len(hist), dtype=np.float64)
-            norm_sq = 0
-            for p, (key, cnt) in enumerate(hist.items()):
-                col = self.vocab.get(key)
-                if col is None:
-                    col = len(self.vocab)
-                    self.vocab[key] = col
-                idx[p] = col
-                dat[p] = cnt
-                norm_sq += cnt * cnt
-            r = (idx, dat, float(np.sqrt(norm_sq)))
-            self._rows[g] = r
-        return r
+    def _add(self, graphs, balls):
+        """Refine the balls (one EgoBalls per graph) of graphs and store
+        each graph's block of ego rows."""
+        indptr, nbrs, origin, sizes = _concat_balls(balls)
+        labels = np.fromiter(chain.from_iterable(g.labels for g in graphs),
+                             dtype=np.int64, count=len(sizes))
+        union = refine_union(indptr, nbrs, labels[origin], sizes,
+                             self.table.iterations)
+        color = self.table.union_colors(union, indptr, nbrs)
+        order = np.argsort(union.part, kind="stable")
+        cols = np.repeat(color, np.diff(union.col_ptr))[order]
+        counts = union.count[order]
+        row_ptr = np.searchsorted(union.part[order],
+                                  np.arange(len(sizes) + 1))
+        first = 0
+        for g in graphs:
+            last = first + g.num_nodes
+            lo, hi = row_ptr[first], row_ptr[last]
+            self._blocks[g] = (row_ptr[first:last + 1] - lo, cols[lo:hi],
+                               counts[lo:hi], union.norms[first:last])
+            first = last
 
-    def matrix(self, graphs):
-        """CSR matrix of the graphs' rows plus their norms."""
-        rows = [self.row(g) for g in graphs]
-        indptr = np.zeros(len(rows) + 1, dtype=np.int64)
-        for i, (idx, _, _) in enumerate(rows):
-            indptr[i + 1] = indptr[i] + idx.shape[0]
-        if rows:
-            indices = np.concatenate([r[0] for r in rows])
-            data = np.concatenate([r[1] for r in rows])
-        else:
-            indices = np.zeros(0, dtype=np.int64)
-            data = np.zeros(0, dtype=np.float64)
-        norms = np.array([r[2] for r in rows])
-        mat = sp.csr_matrix((data, indices, indptr),
-                            shape=(len(rows), max(len(self.vocab), 1)))
-        return mat, norms
+    def matrix(self, graphs, balls_of):
+        """CSC matrix of the graphs' ego rows plus their norms; balls_of maps
+        the graphs without a stored block to their EgoBalls."""
+        new = [g for g in dict.fromkeys(graphs) if g not in self._blocks]
+        if new:
+            self._add(new, balls_of(new))
+        blocks = [self._blocks[g] for g in graphs]
+        nnz = np.cumsum([0] + [len(b[1]) for b in blocks])
+        indptr = np.concatenate(
+            [[0]] + [b[0][1:] + o for b, o in zip(blocks, nnz.tolist())])
+        indices = np.concatenate([b[1] for b in blocks])
+        mat = sp.csr_matrix(
+            (np.concatenate([b[2] for b in blocks]), indices, indptr),
+            shape=(len(indptr) - 1, int(indices.max(initial=0)) + 1))
+        return mat.tocsc(), np.concatenate([b[3] for b in blocks])
+
+    def _counts(self, g: LabeledGraph):
+        hist = self.table.histogram(g)
+        counts = np.fromiter(hist.values(), dtype=np.float64,
+                             count=len(hist))
+        return (np.fromiter(hist.keys(), dtype=np.int64, count=len(hist)),
+                counts, float(np.sqrt(counts @ counts)))
 
     def set_bank(self, mask_graphs):
         """Keep the histograms of the current mask graphs only: a mask
         unchanged since the last batch is not refined again, and a
         replaced one is released."""
         bank = self._bank
-        self._bank = {g: bank[g] if g in bank else self.table.histogram(g)
+        self._bank = {g: bank[g] if g in bank else self._counts(g)
                       for g in mask_graphs}
 
-    def mask_vector(self, g: LabeledGraph):
-        """Dense count vector of g over the current vocabulary (unknown
-        colors dropped, they cannot match any row) plus g's full norm."""
-        hist = self._bank.get(g)
-        if hist is None:
-            hist = self.table.histogram(g)
-        vec = np.zeros(max(len(self.vocab), 1))
-        norm_sq = 0
-        for key, cnt in hist.items():
-            norm_sq += cnt * cnt
-            col = self.vocab.get(key)
-            if col is not None:
-                vec[col] = cnt
-        return vec, float(np.sqrt(norm_sq))
+    def mask_counts(self, g: LabeledGraph):
+        """g's colors and their counts, plus g's histogram norm."""
+        out = self._bank.get(g)
+        return self._counts(g) if out is None else out
 
 
-class _EgoUnion(NamedTuple):
-    """One graph's r-balls as a block-diagonal CSR union, int32 arrays."""
-
-    degree: np.ndarray  # per union node
-    nbrs: np.ndarray    # neighbor ids in the union, node by node
-    origin: np.ndarray  # node of the base graph each union node copies
-    sizes: np.ndarray   # node count per ball, in center order
+def _concat_balls(parts):
+    """The disjoint union of several graphs' EgoBalls as CSR arrays
+    (indptr, neighbors), plus the node each union node copies, in the
+    graphs' end-to-end ids, and the ball sizes."""
+    node_off = np.cumsum([0] + [len(p.degree) for p in parts[:-1]])
+    label_off = np.cumsum([0] + [len(p.sizes) for p in parts[:-1]])
+    degree = np.concatenate([p.degree for p in parts])
+    return (np.concatenate(([0], np.cumsum(degree, dtype=np.int64))),
+            np.concatenate([p.nbrs + o for p, o in zip(parts, node_off)]),
+            np.concatenate([p.origin + o for p, o in zip(parts, label_off)]),
+            np.concatenate([p.sizes for p in parts]))
 
 
 class ForwardEngine:
     """Batched forward passes with structural caching for one run.
 
     Ego-ball structure depends only on adjacency, never on labels, so the
-    engine computes each graph's ego decomposition once per radius and
-    relabels it per batch. First-layer inputs keep their labels for the
-    whole run, so first-layer ego histograms live in one persistent color
-    table with cached sparse rows. Deeper layers get their labels from
-    the junctions, which change them on every batch: each graph's ego
-    balls are also kept as one block-diagonal CSR union per radius, every
-    batch refines the union of its graphs' balls in one array pass
-    (``kernels.refine_union``), and mask graphs are looked up in that
-    batch's compression tables. Graphlet counts
-    ignore labels entirely and are cached per ego structure. Kernel values
-    are bit-for-bit identical to the plain per-graph path: all histogram
-    dot products are sums of small integers, exact in float64 in any
-    order.
+    engine builds each graph's balls once per radius, as a block-diagonal
+    CSR union (``graphs.ego_balls``, run once over all the graphs a batch
+    brings for the first time), and relabels them per batch. First-layer
+    inputs keep their labels for the whole run: the balls of a batch's
+    new graphs are refined in one array pass (``kernels.refine_union``),
+    their classes are mapped once to the colors of a persistent color
+    table, and each graph keeps one sparse block of ego rows, so a batch
+    matrix stacks one block per graph. Deeper layers get their labels
+    from the junctions, which change them on every batch: every batch
+    refines the union of its graphs' balls, and mask graphs are looked
+    up in that batch's compression tables. Mask columns gather only the
+    mask's colors from the batch's CSC matrix. Graphlet counts ignore
+    labels entirely and are cached per ego graph, built with
+    ``ego_subgraph``. Kernel values are bit-for-bit identical to the
+    plain per-graph path: all histogram dot products are sums of small
+    integers, exact in float64 in any order.
     """
 
     def __init__(self, net: NetworkConfig):
         self.net = net
         self._egos = {}      # (base graph, radius) -> list[EgoSubgraph]
-        self._unions = {}    # (base graph, radius) -> _EgoUnion
+        self._balls = {}     # (base graph, radius) -> EgoBalls
         self._l0_cache = None  # _WlRowCache when layer 0 uses wl_subtree
         self._g3 = {}        # ego graph -> graphlet count vector
 
@@ -376,27 +383,28 @@ class ForwardEngine:
             self._egos[key] = out
         return out
 
-    def _ego_union(self, base: LabeledGraph, radius: int) -> "_EgoUnion":
-        key = (base, radius)
-        out = self._unions.get(key)
-        if out is None:
-            temps = self._ego_templates(base, radius)
-            sizes = [t.graph.num_nodes for t in temps]
-            starts = np.cumsum([0] + sizes[:-1])
-            degree, nbrs = [], []
-            for t, off in zip(temps, starts.tolist()):
-                for ns in t.graph.adj:
-                    degree.append(len(ns))
-                    nbrs.extend(off + w for w in ns)
-            out = _EgoUnion(
-                degree=np.array(degree, dtype=np.int32),
-                nbrs=np.array(nbrs, dtype=np.int32),
-                origin=np.fromiter(
-                    chain.from_iterable(t.origin for t in temps),
-                    dtype=np.int32, count=sum(sizes)),
-                sizes=np.array(sizes, dtype=np.int32))
-            self._unions[key] = out
-        return out
+    def _ego_balls(self, graphs, radius: int) -> list:
+        """Each graph's EgoBalls; the graphs without them are built in one
+        ego_balls pass."""
+        new = [g for g in dict.fromkeys(graphs)
+               if (g, radius) not in self._balls]
+        if new:
+            union = ego_balls(new, radius)
+            first = np.cumsum([0] + [g.num_nodes for g in new])
+            node_at = np.concatenate(
+                ([0], np.cumsum(union.sizes, dtype=np.int64)))[first]
+            edge_at = np.concatenate(
+                ([0], np.cumsum(union.degree, dtype=np.int64)))[node_at]
+            first, node_at, edge_at = (first.tolist(), node_at.tolist(),
+                                       edge_at.tolist())
+            for i, g in enumerate(new):
+                u0, u1 = node_at[i], node_at[i + 1]
+                self._balls[(g, radius)] = EgoBalls(
+                    degree=union.degree[u0:u1],
+                    nbrs=union.nbrs[edge_at[i]:edge_at[i + 1]] - u0,
+                    origin=union.origin[u0:u1] - first[i],
+                    sizes=union.sizes[first[i]:first[i + 1]])
+        return [self._balls[(g, radius)] for g in graphs]
 
     def _layer0_cache(self, layer: LayerConfig) -> "_WlRowCache":
         if self._l0_cache is None:
@@ -412,18 +420,19 @@ class ForwardEngine:
             self._g3[g] = v
         return v
 
-    def _wl_fast_layer(self, cache: "_WlRowCache", layer: LayerConfig,
-                       egos, mask_graphs):
-        """Responses via cached rows; returns (z, responses closure)."""
-        mat, ego_norms = cache.matrix(egos)
+    def _wl_first_layer(self, layer: LayerConfig, graphs, mask_graphs):
+        """Responses via the cached layer-0 rows; returns (z, responses
+        closure)."""
+        cache = self._layer0_cache(layer)
+        mat, ego_norms = cache.matrix(
+            graphs, lambda new: self._ego_balls(new, layer.radius))
         cache.set_bank(mask_graphs)
         normalized = layer.kernel.normalized
 
         def column(mask_graph):
-            vec, mnorm = cache.mask_vector(mask_graph)
-            if vec.shape[0] != mat.shape[1]:
-                vec = vec[:mat.shape[1]]
-            col = mat @ vec
+            cols, counts, mnorm = cache.mask_counts(mask_graph)
+            col = csc_dot(mat.indptr, mat.indices, mat.data, cols, counts,
+                          mat.shape[0])
             if normalized:
                 safe_divide(col, ego_norms * mnorm)
             return col
@@ -436,17 +445,10 @@ class ForwardEngine:
         """Responses of a layer whose labels change per batch: one
         refinement of the union of the batch's ego balls; labels is the
         flat node labeling of the batch. Returns (z, responses closure)."""
-        parts = [self._ego_union(g, layer.radius) for g in graphs]
-        node_off = np.cumsum([0] + [len(p.degree) for p in parts[:-1]])
-        label_off = np.cumsum([0] + [g.num_nodes for g in graphs[:-1]])
-        degree = np.concatenate([p.degree for p in parts])
-        union = refine_union(
-            np.concatenate(([0], np.cumsum(degree))),
-            np.concatenate([p.nbrs + o for p, o in zip(parts, node_off)]),
-            labels[np.concatenate([p.origin + o
-                                   for p, o in zip(parts, label_off)])],
-            np.concatenate([p.sizes for p in parts]),
-            layer.kernel.wl_iterations)
+        indptr, nbrs, origin, sizes = _concat_balls(
+            self._ego_balls(graphs, layer.radius))
+        union = refine_union(indptr, nbrs, labels[origin], sizes,
+                             layer.kernel.wl_iterations)
         num_labels = layer.input_dictionary.size
         iterations = layer.kernel.wl_iterations
         normalized = layer.kernel.normalized
@@ -482,9 +484,13 @@ class ForwardEngine:
         """Ego graphs of every node of the batch under cur's labels."""
         out = []
         for base, g in zip(graphs, cur):
-            lab = g.labels
-            out.extend(t.graph.with_labels([lab[o] for o in t.origin])
-                       for t in self._ego_templates(base, radius))
+            temps = self._ego_templates(base, radius)
+            if g is base:
+                out.extend(t.graph for t in temps)
+            else:
+                lab = g.labels
+                out.extend(t.graph.with_labels([lab[o] for o in t.origin])
+                           for t in temps)
         return out
 
     def forward_graphs(self, params: ModelParams, graphs,
@@ -511,20 +517,15 @@ class ForwardEngine:
                 slices.append((start, start + g.num_nodes))
                 start += g.num_nodes
             mask_graphs = [mk.graph for mk in params.masks[l]]
-            if layer.kernel.kind == GRAPHLET3 or l == 0:
+            if layer.kernel.kind == GRAPHLET3:
                 # graphlet counting ignores labels, so the structural
-                # template is enough at any depth; at layer 0 the
-                # templates carry the input labels
-                egos_flat = [t.graph for base in graphs
-                             for t in self._ego_templates(base, layer.radius)]
-                make_egos = (lambda egos=egos_flat: egos)
-                if layer.kernel.kind == GRAPHLET3:
-                    z_flat, responses = self._graphlet_layer(
-                        layer, egos_flat, mask_graphs)
-                else:
-                    z_flat, responses = self._wl_fast_layer(
-                        self._layer0_cache(layer), layer, egos_flat,
-                        mask_graphs)
+                # templates serve at any depth
+                z_flat, responses = self._graphlet_layer(
+                    layer, self._relabeled_egos(graphs, graphs, layer.radius),
+                    mask_graphs)
+            elif l == 0:
+                z_flat, responses = self._wl_first_layer(layer, graphs,
+                                                         mask_graphs)
             else:
                 if labels_flat is None:
                     labels_flat = np.fromiter(
@@ -532,8 +533,8 @@ class ForwardEngine:
                         dtype=np.int64, count=start)
                 z_flat, responses = self._wl_deep_layer(
                     layer, graphs, labels_flat, mask_graphs)
-                make_egos = (lambda cur=cur, r=layer.radius:
-                             self._relabeled_egos(graphs, cur, r))
+            make_egos = (lambda cur=cur, r=layer.radius:
+                         self._relabeled_egos(graphs, cur, r))
             for (zl, zi) in zero_cols:
                 if zl == l:
                     z_flat[:, zi] = 0.0

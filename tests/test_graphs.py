@@ -7,7 +7,7 @@ import pytest
 from gkconv.graphs import (EgoSubgraph, GraphError, LabelDictionary,
                            LabeledGraph, UnsupportedSizeError, complete_graph,
                            connected_components, cycle_graph, disjoint_union,
-                           ego_subgraph, graph_equal_canonical,
+                           ego_balls, ego_subgraph, graph_equal_canonical,
                            induced_subgraph, max_component_nodes,
                            max_connected_component, path_graph, star_graph,
                            to_dot)
@@ -94,6 +94,56 @@ def test_ego_subgraph_radius_zero_and_errors():
         ego_subgraph(g, 9, 1)
     with pytest.raises(GraphError):
         ego_subgraph(g, 0, -1)
+
+
+def assert_balls_match_ego_subgraph(graphs, r):
+    """Every ball of ego_balls equals ego_subgraph of its center: same
+    origin, center and induced edges, in the same local node order."""
+    balls = ego_balls(graphs, r)
+    starts = np.concatenate(([0], np.cumsum(balls.degree)))
+    node_at = np.concatenate(([0], np.cumsum(balls.sizes)))
+    i, off = 0, 0
+    for g in graphs:
+        for v in range(g.num_nodes):
+            ref = ego_subgraph(g, v, r)
+            lo, hi = node_at[i], node_at[i + 1]
+            origin = tuple((balls.origin[lo:hi] - off).tolist())
+            assert origin == ref.origin
+            assert origin.index(v) == ref.center
+            adj = tuple(tuple((balls.nbrs[starts[u]:starts[u + 1]]
+                               - lo).tolist()) for u in range(lo, hi))
+            assert adj == ref.graph.adj
+            i += 1
+        off += g.num_nodes
+    assert i == len(balls.sizes) == off
+    assert len(balls.origin) == len(balls.degree) == node_at[-1]
+    assert len(balls.nbrs) == starts[-1]
+
+
+@pytest.mark.parametrize("r", [0, 1, 2, 3, 4])
+def test_ego_balls_match_ego_subgraph(r):
+    rng = np.random.default_rng(19)
+    cases = [
+        [LabeledGraph(0, [], [])],                      # empty graph
+        [LabeledGraph(1, [], [2])],                     # one node
+        [LabeledGraph(4, [(1, 2)], [0, 1, 0, 1])],      # isolated nodes
+        [disjoint_union(cycle_graph(5), path_graph(4))],  # two components
+        [path_graph(3), complete_graph(4)],  # r >= diameter for r >= 2
+        [cycle_graph(9), star_graph(4), path_graph(9)],
+    ]
+    # graphs laid end to end, including empty ones between others
+    cases.append([random_graph(rng, n_max=10, p=0.25) for _ in range(6)]
+                 + [LabeledGraph(0, [], []), random_graph(rng, p=0.5)])
+    for graphs in cases:
+        assert_balls_match_ego_subgraph(graphs, r)
+
+
+def test_ego_balls_edge_cases():
+    empty = ego_balls([], 2)
+    assert all(len(a) == 0 for a in empty)
+    assert all(a.dtype == np.int32 for a in empty)
+    with pytest.raises(GraphError):
+        ego_balls([path_graph(3)], -1)
 
 
 def test_connected_components_match_networkx():

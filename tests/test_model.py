@@ -8,12 +8,13 @@ import networkx as nx
 import numpy as np
 import pytest
 
+from gkconv import model
 from gkconv.drd import EditProbabilities, init_mask_bank
 from gkconv.graphs import (LabelDictionary, LabeledGraph, complete_graph,
                            cycle_graph, disjoint_union, path_graph,
                            star_graph)
 from gkconv.kernels import (GRAPHLET3, WL_SUBTREE, KernelConfig,
-                            kernel_matrix)
+                            WlColorTable, kernel_matrix)
 from gkconv.model import (CodebookStateError, ForwardEngine, LayerConfig,
                           ModelError, ModelParams, NetworkConfig,
                           StructuralMask, gkc_forward, network_forward,
@@ -257,14 +258,106 @@ def test_ego_subgraph_engine_consistency():
         assert egos[v].labels == ref.labels
 
 
-# -- deep layers: one array refinement per batch ----------------------------
+# -- layer 0: one array refinement per batch of new graphs -------------------
 
-WL3_RAW = KernelConfig(kind=WL_SUBTREE, wl_iterations=3, normalized=False)
+WL3 = KernelConfig(kind=WL_SUBTREE, wl_iterations=3, normalized=True)
 
 
 def fixed_mask(g):
     return StructuralMask(workspace=g, edit_probs=EditProbabilities.zeros(
         g.num_nodes, max(g.labels) + 1))
+
+
+def paw(labels):
+    """A triangle 0-1-2 with node 3 hanging off node 2."""
+    return LabeledGraph(4, [(0, 1), (1, 2), (0, 2), (2, 3)], labels)
+
+
+def layer0_net_and_masks():
+    net = NetworkConfig(layers=(layer(num_masks=3, nodes=4, radius=2,
+                                      kernel=WL3, dict_size=3),),
+                        quantizer_k=())
+    masks = [fixed_mask(path_graph(4, [0, 0, 0, 0])),
+             fixed_mask(paw([1, 1, 1, 0])),
+             fixed_mask(cycle_graph(4, [1, 2, 1, 2]))]
+    return net, ModelParams(masks=[masks], codebooks=[], mlp=None)
+
+
+def block_colors(engine, graphs):
+    blocks = engine._l0_cache._blocks
+    return set(np.concatenate([blocks[g][1] for g in graphs]).tolist())
+
+
+def test_layer0_rows_stay_valid_when_a_later_batch_adds_colors():
+    # batch one holds label-0 graphs only; batch two brings the label-1
+    # paws and label-1/2 cycles that the masks were refined from at batch
+    # one, so its egos must land on colors the table already holds
+    rng = np.random.default_rng(18)
+    net, params = layer0_net_and_masks()
+    first = [random_graph(rng, n_max=8, dict_size=1) for _ in range(5)]
+    first.append(star_graph(5))
+    second = [paw([1, 1, 1, 0]), cycle_graph(4, [1, 2, 1, 2]),
+              disjoint_union(paw([1, 1, 1, 1]), path_graph(3, [0, 1, 0]))]
+    second += [random_graph(rng, n_max=8, dict_size=3) for _ in range(4)]
+    engine = ForwardEngine(net)
+    before = engine.forward_graphs(params, first).features
+    mask_colors = set()
+    for mk in params.masks[0]:
+        mask_colors |= set(engine._l0_cache.mask_counts(mk.graph)[0].tolist())
+    seen = block_colors(engine, first)
+    trace = engine.forward_graphs(params, second, want_trace=True)
+    fresh = block_colors(engine, second) - seen
+    assert (fresh & mask_colors) - {0, 1, 2}  # refined mask colors reused
+    for g, feat in zip(second, trace.features):
+        assert np.array_equal(feat, network_forward(net, params, g))
+    lt = trace.layers[0]
+    assert "egos" not in vars(lt)  # built on first read only
+    probes = [paw([1, 1, 1, 0]), paw([2, 2, 2, 2]), LabeledGraph(1, [], [2]),
+              star_graph(7, [1] * 8), cycle_graph(4, [2, 1, 2, 1])]
+    for probe in probes:
+        want = kernel_matrix(WL3, lt.egos, [probe])[:, 0]
+        assert np.array_equal(lt.responses(probe), want)
+    # the first batch's rows are still valid under the grown table
+    again = engine.forward_graphs(params, first + second[:1]).features
+    for g, a, b in zip(first, before, again):
+        assert np.array_equal(a, b)
+        assert np.array_equal(b, network_forward(net, params, g))
+
+
+def test_layer0_refines_each_graph_once(monkeypatch):
+    rng = np.random.default_rng(19)
+    net, params = layer0_net_and_masks()
+    batch_a = [random_graph(rng, n_max=8, dict_size=3) for _ in range(4)]
+    batch_b = [random_graph(rng, n_max=8, dict_size=3) for _ in range(3)]
+    refined, table_refines = [], []
+    real_union, real_refine = model.refine_union, WlColorTable.refine
+
+    def count_union(indptr, indices, labels, sizes, iterations):
+        refined.append(len(sizes))
+        return real_union(indptr, indices, labels, sizes, iterations)
+
+    def count_refine(table, g):
+        table_refines.append(g)
+        return real_refine(table, g)
+
+    monkeypatch.setattr(model, "refine_union", count_union)
+    monkeypatch.setattr(WlColorTable, "refine", count_refine)
+    engine = ForwardEngine(net)
+    engine.forward_graphs(params, batch_a + batch_a[:1])
+    assert refined == [sum(g.num_nodes for g in batch_a)]
+    engine.forward_graphs(params, batch_a[::-1])
+    assert len(refined) == 1
+    engine.forward_graphs(params, batch_a[:2] + batch_b)
+    assert refined[1:] == [sum(g.num_nodes for g in batch_b)]
+    # the color table refines mask graphs only, each once
+    assert {id(g) for g in table_refines} == \
+        {id(mk.graph) for mk in params.masks[0]}
+    assert len(table_refines) == len(params.masks[0])
+
+
+# -- deep layers: one array refinement per batch ----------------------------
+
+WL3_RAW = KernelConfig(kind=WL_SUBTREE, wl_iterations=3, normalized=False)
 
 
 def assert_deep_layer_exact(net, params, graphs, probes, fit=False):
