@@ -17,9 +17,9 @@ from .model import (ForwardEngine, LayerConfig, ModelParams, NetworkConfig,
                     StructuralMask, gkc_forward, network_forward)
 from .drd import (EditOperation, EditProbabilities, apply_edit, drd_step,
                   estimate_subgradient, init_mask_bank, sample_edit)
-from .head import (LossReport, MlpParams, backward, batch_loss,
-                   cross_entropy, init_mlp, jsd_grad, jsd_loss, mlp_forward,
-                   pool_sum)
+from .head import (LossReport, MlpParams, Readout, accuracy, backward,
+                   batch_loss, cross_entropy, gradients, init_mlp, jsd_grad,
+                   jsd_loss, mlp_forward, pool_sum, readout)
 from .data import (GraphDataset, MotifSpec, Split, fetch_benchmark,
                    generate_motif_dataset, generate_triangle_cycle_dataset,
                    load_benchmark, make_motif, save_benchmark,

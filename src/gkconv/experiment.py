@@ -151,9 +151,8 @@ def evaluate(engine: ForwardEngine, params: ModelParams, graphs, ys,
              jsd_weight: float):
     """(LossReport, accuracy) without touching any state."""
     trace = engine.forward_graphs(params, graphs)
-    rep = head.batch_loss(params.mlp, trace.features, ys, jsd_weight)
-    acc = head.accuracy(params.mlp, trace.features, ys)
-    return rep, acc
+    out = head.readout(params.mlp, trace.features, ys, jsd_weight)
+    return out.loss, out.accuracy
 
 
 def _assert_invariants(bank, accepted, est):
@@ -211,25 +210,27 @@ def train(ds: GraphDataset, split: Split, net: NetworkConfig,
             trace = engine.forward_graphs(params, graphs,
                                           fit_rng=kmeans_rng,
                                           want_trace=True)
-            rep = head.batch_loss(params.mlp, trace.features, ys,
-                                  cfg.jsd_weight)
-            if not math.isfinite(rep.total):
+            out = head.readout(params.mlp, trace.features, ys,
+                               cfg.jsd_weight)
+            if not math.isfinite(out.loss.total):
                 raise TrainingDiverged(
                     f"non-finite loss at epoch {epoch}", report)
-            loss_sum += rep.total * len(graphs)
-            acc_sum += head.accuracy(params.mlp, trace.features, ys) * len(graphs)
+            loss_sum += out.loss.total * len(graphs)
+            acc_sum += out.accuracy * len(graphs)
 
-            grads, dxs = head.backward(params.mlp, trace.features, ys,
-                                       cfg.jsd_weight)
+            grads, dx = head.gradients(out)
             head.mlp_update(params.mlp, grads)
+            # each mask's gradient column as a contiguous row: a strided
+            # vector would send the edit estimate's dot product down
+            # another BLAS path, with other rounding
+            dx_cols = np.ascontiguousarray(dx.T)
 
             phase = drd.EDGE_PHASE if step % 2 == 0 else drd.LABEL_PHASE
             col = 0
             for l, layer in enumerate(net.layers):
                 lb = trace.layers[l]
                 for i in range(layer.num_masks):
-                    grads_flat = np.concatenate(
-                        [dx[:, col + i] for dx in dxs])
+                    grads_flat = dx_cols[col + i]
                     for _ in range(cfg.proposals_per_mask):
                         mask = params.masks[l][i]
                         new_mask, ok, est = drd.drd_step_batched(

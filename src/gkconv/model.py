@@ -172,12 +172,14 @@ def random_connected_graph(d: int, dict_size: int,
     return LabeledGraph(d, sorted(edges), labels)
 
 
-def _check_layer_input(layer: LayerConfig, g: LabeledGraph, masks):
+def _check_layer_input(layer: LayerConfig, labels: np.ndarray, masks):
+    """Check a mask bank and the node labels of the graphs it will score
+    (all of them flat in one array) against the layer."""
     if len(masks) != layer.num_masks:
         raise ModelError(
             f"layer wants {layer.num_masks} masks, got {len(masks)}")
     size = layer.input_dictionary.size
-    if g.num_nodes and max(g.labels) >= size:
+    if labels.max(initial=-1) >= size:
         raise ModelError(
             f"graph label outside dictionary of size {size}")
     for mk in masks:
@@ -189,7 +191,7 @@ def _check_layer_input(layer: LayerConfig, g: LabeledGraph, masks):
 
 def gkc_forward(layer: LayerConfig, masks, g: LabeledGraph) -> np.ndarray:
     """Feature matrix (n, num_masks) for one graph under one mask bank."""
-    _check_layer_input(layer, g, masks)
+    _check_layer_input(layer, np.asarray(g.labels, dtype=np.int64), masks)
     egos = [ego_subgraph(g, v, layer.radius).graph for v in range(g.num_nodes)]
     return kernel_matrix(layer.kernel, egos, [mk.graph for mk in masks])
 
@@ -352,26 +354,29 @@ class ForwardEngine:
     Ego-ball structure depends only on adjacency, never on labels, so the
     engine builds each graph's balls once per radius, as a block-diagonal
     CSR union (``graphs.ego_balls``, run once over all the graphs a batch
-    brings for the first time), and relabels them per batch. First-layer
-    inputs keep their labels for the whole run: the balls of a batch's
-    new graphs are refined in one array pass (``kernels.refine_union``),
-    their classes are mapped once to the colors of a persistent color
-    table, and each graph keeps one sparse block of ego rows, so a batch
-    matrix stacks one block per graph. Deeper layers get their labels
-    from the junctions, which change them on every batch: every batch
-    refines the union of its graphs' balls, and mask graphs are looked
-    up in that batch's compression tables. Mask columns gather only the
-    mask's colors from the batch's CSC matrix. Graphlet counts ignore
-    labels entirely and are cached per ego graph, built with
-    ``ego_subgraph``. Kernel values are bit-for-bit identical to the
-    plain per-graph path: all histogram dot products are sums of small
-    integers, exact in float64 in any order.
+    brings for the first time), and relabels them per batch; it keeps
+    them only at radii that a WL layer above the first reads on every
+    batch. First-layer inputs keep their labels for the whole run: the
+    balls of a batch's new graphs are refined in one array pass
+    (``kernels.refine_union``), their classes are mapped once to the
+    colors of a persistent color table, and each graph keeps one sparse
+    block of ego rows, so a batch matrix stacks one block per graph.
+    Deeper layers get their labels from the junctions, which change them
+    on every batch: every batch refines the union of its graphs' balls,
+    and mask graphs are looked up in that batch's compression tables.
+    Mask columns gather only the mask's colors from the batch's CSC
+    matrix. Graphlet counts ignore labels entirely and are cached per ego
+    graph, built with ``ego_subgraph``. Kernel values are bit-for-bit
+    identical to the plain per-graph path: all histogram dot products
+    are sums of small integers, exact in float64 in any order.
     """
 
     def __init__(self, net: NetworkConfig):
         self.net = net
         self._egos = {}      # (base graph, radius) -> list[EgoSubgraph]
         self._balls = {}     # (base graph, radius) -> EgoBalls
+        self._deep_wl_radii = {layer.radius for layer in net.layers[1:]
+                               if layer.kernel.kind == WL_SUBTREE}
         self._l0_cache = None  # _WlRowCache when layer 0 uses wl_subtree
         self._g3 = {}        # ego graph -> graphlet count vector
 
@@ -385,9 +390,11 @@ class ForwardEngine:
 
     def _ego_balls(self, graphs, radius: int) -> list:
         """Each graph's EgoBalls; the graphs without them are built in one
-        ego_balls pass."""
-        new = [g for g in dict.fromkeys(graphs)
-               if (g, radius) not in self._balls]
+        ego_balls pass. Balls are kept only at a radius that a WL layer
+        above the first reads on every batch: layer 0 reads a graph's
+        balls once, to build the graph's row block."""
+        kept = self._balls if radius in self._deep_wl_radii else {}
+        new = [g for g in dict.fromkeys(graphs) if (g, radius) not in kept]
         if new:
             union = ego_balls(new, radius)
             first = np.cumsum([0] + [g.num_nodes for g in new])
@@ -399,12 +406,12 @@ class ForwardEngine:
                                        edge_at.tolist())
             for i, g in enumerate(new):
                 u0, u1 = node_at[i], node_at[i + 1]
-                self._balls[(g, radius)] = EgoBalls(
+                kept[(g, radius)] = EgoBalls(
                     degree=union.degree[u0:u1],
                     nbrs=union.nbrs[edge_at[i]:edge_at[i + 1]] - u0,
                     origin=union.origin[u0:u1] - first[i],
                     sizes=union.sizes[first[i]:first[i + 1]])
-        return [self._balls[(g, radius)] for g in graphs]
+        return [kept[(g, radius)] for g in graphs]
 
     def _layer0_cache(self, layer: LayerConfig) -> "_WlRowCache":
         if self._l0_cache is None:
@@ -505,17 +512,18 @@ class ForwardEngine:
             raise ModelError("empty batch")
         net = self.net
         cur = graphs
-        labels_flat = None  # cur's labels in batch order, built when needed
+        slices = []
+        start = 0
+        for g in graphs:
+            slices.append((start, start + g.num_nodes))
+            start += g.num_nodes
+        # cur's labels in batch order
+        labels_flat = np.fromiter(chain.from_iterable(g.labels for g in cur),
+                                  dtype=np.int64, count=start)
         per_graph_blocks = [[] for _ in graphs]
         layer_traces = []
         for l, layer in enumerate(net.layers):
-            for g in cur:
-                _check_layer_input(layer, g, params.masks[l])
-            slices = []
-            start = 0
-            for g in cur:
-                slices.append((start, start + g.num_nodes))
-                start += g.num_nodes
+            _check_layer_input(layer, labels_flat, params.masks[l])
             mask_graphs = [mk.graph for mk in params.masks[l]]
             if layer.kernel.kind == GRAPHLET3:
                 # graphlet counting ignores labels, so the structural
@@ -527,10 +535,6 @@ class ForwardEngine:
                 z_flat, responses = self._wl_first_layer(layer, graphs,
                                                          mask_graphs)
             else:
-                if labels_flat is None:
-                    labels_flat = np.fromiter(
-                        chain.from_iterable(g.labels for g in cur),
-                        dtype=np.int64, count=start)
                 z_flat, responses = self._wl_deep_layer(
                     layer, graphs, labels_flat, mask_graphs)
             make_egos = (lambda cur=cur, r=layer.radius:

@@ -46,10 +46,11 @@ def _pairwise_sq(X, C):
 
 
 def kmeans_pp_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """k-means++ seeding; duplicates only arise when X has < k distinct rows."""
+    """k-means++ seeding; duplicates only arise when X has < k distinct
+    rows, so a batch with fewer than k rows seeds duplicate centroids."""
     n = X.shape[0]
-    if n < k:
-        raise QuantizerError(f"need at least k={k} points, got {n}")
+    if n < 1:
+        raise QuantizerError("need at least one point to seed centroids")
     first = int(rng.integers(n))
     centroids = [X[first]]
     d2 = ((X - X[first]) ** 2).sum(axis=1)
@@ -66,14 +67,15 @@ def kmeans_pp_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarra
 
 
 def _reseed_empty(X, C, assign_idx):
-    """Move each empty centroid onto the point farthest from its centroid."""
+    """Move each empty centroid onto the point farthest from its centroid;
+    with fewer points than empty centroids, the last ones stay put."""
     counts = np.bincount(assign_idx, minlength=C.shape[0])
     empty = np.flatnonzero(counts == 0)
     if empty.size == 0:
         return False
     dist = ((X - C[assign_idx]) ** 2).sum(axis=1)
     used = set()
-    for c in empty:
+    for c in empty[:X.shape[0]]:
         order = np.argsort(-dist, kind="stable")
         pick = next(int(i) for i in order if int(i) not in used)
         used.add(pick)

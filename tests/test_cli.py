@@ -84,6 +84,15 @@ def test_train_writes_artifacts(run_dir):
     assert "epochs=2" in cfg and "masks=2" in cfg
 
 
+def test_train_batch_of_one_with_more_codes_than_nodes(corpus, tmp_path):
+    # the first junction fit sees one graph of 6-7 nodes and 16 codes
+    code, text = run(["train", "--data", str(corpus), "--name",
+                      "triangle_cycle", "--out", str(tmp_path), "--layers",
+                      "2", "--quantizer-k", "16"] + TINY + ["--batch", "1"])
+    assert code == 0, text
+    assert len((tmp_path / "report.csv").read_text().splitlines()) == 3
+
+
 def test_train_missing_dataset_exits_2(tmp_path, capsys):
     code = main(["train", "--data", str(tmp_path), "--name", "nope"])
     assert code == 2

@@ -230,6 +230,52 @@ def test_engine_empty_batch_raises():
         ForwardEngine(net).forward_graphs(params, [])
 
 
+def test_engine_checks_every_graph_of_a_batch():
+    rng = np.random.default_rng(17)
+    net = NetworkConfig(layers=(layer(num_masks=2, dict_size=2),),
+                        quantizer_k=())
+    params = make_params(net, rng)
+    graphs = [random_graph(rng, dict_size=2) for _ in range(7)]
+    graphs.append(cycle_graph(4, [0, 1, 2, 1]))  # label 2 of a 2-label dict
+    engine = ForwardEngine(net)
+    with pytest.raises(ModelError, match="graph label outside dictionary"):
+        engine.forward_graphs(params, graphs)
+    short = ModelParams(masks=[params.masks[0][:1]], codebooks=[])
+    with pytest.raises(ModelError, match="layer wants 2 masks"):
+        engine.forward_graphs(short, graphs[:7])
+    wide = ModelParams(masks=[[fixed_mask(path_graph(4, [0, 1, 2, 0]))] * 2],
+                       codebooks=[])
+    with pytest.raises(ModelError, match="mask label outside"):
+        engine.forward_graphs(wide, graphs[:7])
+
+
+def test_engine_keeps_ego_balls_only_for_deep_wl_layers():
+    rng = np.random.default_rng(18)
+    graphs = [random_graph(rng, n_max=8, n_min=3, dict_size=2)
+              for _ in range(8)]
+    one = NetworkConfig(layers=(layer(num_masks=2, radius=2, dict_size=2),),
+                        quantizer_k=())
+    params = make_params(one, rng)
+    engine = ForwardEngine(one)
+    trace = engine.forward_graphs(params, graphs)
+    assert engine._balls == {}
+    for g, feat in zip(graphs, trace.features):
+        assert np.array_equal(feat, network_forward(one, params, g))
+    # layer 1 reads radius-2 balls on every batch; layer 0's radius-1
+    # balls serve its row blocks once
+    l0 = layer(num_masks=3, nodes=4, radius=1, kernel=WL2, dict_size=2)
+    l1 = layer(num_masks=2, nodes=4, radius=2, kernel=WL2, dict_size=4)
+    two = NetworkConfig(layers=(l0, l1), quantizer_k=(4,))
+    params = make_params(two, rng)
+    engine = ForwardEngine(two)
+    engine.forward_graphs(params, graphs, fit_rng=np.random.default_rng(7))
+    trace = engine.forward_graphs(params, graphs)
+    assert {r for _, r in engine._balls} == {2}
+    assert len(engine._balls) == len(graphs)
+    for g, feat in zip(graphs, trace.features):
+        assert np.array_equal(feat, network_forward(two, params, g))
+
+
 def test_engine_is_stable_across_repeated_batches():
     rng = np.random.default_rng(12)
     net = NetworkConfig(layers=(layer(num_masks=2, dict_size=2),),

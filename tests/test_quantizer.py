@@ -27,7 +27,34 @@ def test_kmeans_pp_init_picks_data_rows():
     rows = {tuple(r) for r in X}
     assert all(tuple(c) in rows for c in cents)
     with pytest.raises(QuantizerError):
-        kmeans_pp_init(X[:3], 5, rng)
+        kmeans_pp_init(X[:0], 5, rng)
+
+
+def test_kmeans_pp_init_draws_are_pinned_when_rows_suffice():
+    X = np.random.default_rng(0).standard_normal((30, 3))
+    picked = {1: [14], 5: [20, 23, 14, 8, 1],
+              30: [3, 14, 4, 20, 25, 27, 13, 1, 15, 21, 8, 23, 26, 11, 16,
+                   19, 17, 18, 7, 24, 2, 9, 0, 29, 6, 5, 28, 22, 10, 12]}
+    for k, rows in picked.items():
+        cents = kmeans_pp_init(X, k, np.random.default_rng(k))
+        assert np.array_equal(cents, X[rows])
+
+
+def test_first_fit_with_fewer_rows_than_k_seeds_duplicates():
+    rng = np.random.default_rng(7)
+    X = rng.standard_normal((3, 2))
+    cents = kmeans_pp_init(X, 5, np.random.default_rng(0))
+    assert cents.shape == (5, 2)
+    # every row is seeded; duplicates fill the other centroids
+    assert {tuple(c) for c in cents} == {tuple(r) for r in X}
+    for rows in (X, X[:1]):
+        cb = fit_update(Codebook(16), rows, rng=np.random.default_rng(1))
+        assert cb.initialized and cb.degenerate
+        assert len(set(assign(cb, rows).tolist())) == len(rows)
+        # warm starts keep working on small and larger batches
+        fit_update(cb, rows)
+        fit_update(cb, rng.standard_normal((40, 2)))
+        assert len(set(assign(cb, rng.standard_normal((40, 2))))) > 3
 
 
 def test_fit_recovers_separated_blobs():
