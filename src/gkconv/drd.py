@@ -13,6 +13,7 @@ edits can grow it back.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations, islice
 
 import numpy as np
 
@@ -101,51 +102,54 @@ class EditProbabilities:
         return e / e.sum(axis=1, keepdims=True)
 
 
-def edit_distribution(mask: StructuralMask, phase: str):
-    """Legal edits of the workspace and their normalized weights."""
+def _phase_weights(mask: StructuralMask, phase: str) -> np.ndarray:
+    """Normalized weights of the phase's legal edits, in the order
+    edit_distribution lists them: node pairs u < v in pair_index order
+    (removal weight for a present edge, add weight for an absent one), or
+    every node's other labels, node by node."""
     ws = mask.workspace
-    ep = mask.edit_probs
-    d = ws.num_nodes
-    ops = []
-    weights = []
     if phase == EDGE_PHASE:
-        p = ep.edge_probs()
-        for u in range(d):
-            for v in range(u + 1, d):
-                if ws.has_edge(u, v):
-                    ops.append(EditOperation.remove(u, v))
-                    weights.append(1.0 - p[pair_index(u, v, d)])
-                else:
-                    ops.append(EditOperation.add(u, v))
-                    weights.append(p[pair_index(u, v, d)])
+        p = mask.edit_probs.edge_probs()
+        present = np.zeros(len(p), dtype=bool)
+        present[[pair_index(u, v, ws.num_nodes) for u, v in ws.edges]] = True
+        w = np.where(present, 1.0 - p, p)
     elif phase == LABEL_PHASE:
-        s = ep.label_probs()
-        for node in range(d):
-            cur = ws.labels[node]
-            for c in range(s.shape[1]):
-                if c != cur:
-                    ops.append(EditOperation.relabel(node, c))
-                    weights.append(s[node, c])
+        s = mask.edit_probs.label_probs()
+        w = s[np.arange(s.shape[1]) != np.array(ws.labels)[:, None]]
     else:
         raise DrdError(f"unknown phase {phase!r}")
-    if not ops:
-        return [], np.zeros(0)
-    w = np.asarray(weights, dtype=np.float64)
+    if not len(w):
+        return w
     total = w.sum()
     if total <= 0.0:
-        w = np.full(len(ops), 1.0 / len(ops))
-    else:
-        w = w / total
-    return ops, w
+        return np.full(len(w), 1.0 / len(w))
+    return w / total
+
+
+def _edit_at(mask: StructuralMask, phase: str, k: int) -> EditOperation:
+    """The k-th legal edit of the phase, in _phase_weights order."""
+    ws = mask.workspace
+    if phase == EDGE_PHASE:
+        u, v = next(islice(combinations(range(ws.num_nodes), 2), k, None))
+        make = EditOperation.remove if ws.has_edge(u, v) else EditOperation.add
+        return make(u, v)
+    node, j = divmod(k, mask.edit_probs.label_logits.shape[1] - 1)
+    return EditOperation.relabel(node, j + (j >= ws.labels[node]))
+
+
+def edit_distribution(mask: StructuralMask, phase: str):
+    """Legal edits of the workspace and their normalized weights."""
+    w = _phase_weights(mask, phase)
+    return [_edit_at(mask, phase, k) for k in range(len(w))], w
 
 
 def sample_edit(mask: StructuralMask, phase: str,
                 rng: np.random.Generator):
     """One edit drawn from the phase distribution; None if none exist."""
-    ops, w = edit_distribution(mask, phase)
-    if not ops:
+    w = _phase_weights(mask, phase)
+    if not len(w):
         return None
-    return ops[int(rng.choice(len(ops), p=w))]
+    return _edit_at(mask, phase, int(rng.choice(len(w), p=w)))
 
 
 def apply_edit(mask: StructuralMask, op: EditOperation) -> StructuralMask:

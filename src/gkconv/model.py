@@ -13,7 +13,6 @@ concatenated for the readout.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -23,8 +22,8 @@ from .graphs import (EgoBalls, GraphError, LabeledGraph, LabelDictionary,
                      ego_balls, ego_subgraph, induced_subgraph,
                      max_component_nodes)
 from .kernels import (GRAPHLET3, WL_SUBTREE, KernelConfig, WlColorTable,
-                      csc_dot, graphlet3_vector, kernel_matrix, refine_union,
-                      safe_divide)
+                      csc_dot, graphlet3_union, graphlet3_vector,
+                      kernel_matrix, refine_union, safe_divide)
 from .quantizer import Codebook, CodebookStateError, assign, fit_update
 
 
@@ -237,20 +236,12 @@ def network_forward(net: NetworkConfig, params: ModelParams,
 @dataclass
 class LayerBatch:
     """Per-layer trace of one batched forward pass, consumed by the mask
-    edit search: the response matrix under the current masks, per-graph
-    row slices, and an evaluator that scores a candidate mask graph
-    against the batch egos. The flat ego list (batch order) is built
-    from make_egos on first read only; the subtree-kernel engine never
-    needs ego graphs."""
+    edit search: the response matrix under the current masks and an
+    evaluator that scores a candidate mask graph against the egos of
+    every node of the batch, both in batch node order."""
 
     before: np.ndarray
-    slices: list
     responses: object  # callable: mask LabeledGraph -> (n_total,) ndarray
-    make_egos: object  # callable: () -> list of ego LabeledGraphs
-
-    @cached_property
-    def egos(self) -> list:
-        return self.make_egos()
 
 
 @dataclass
@@ -276,10 +267,9 @@ class _WlRowCache:
         self._blocks = {}  # graph -> (row pointers, columns, counts, norms)
         self._bank = {}    # current mask graph -> (columns, counts, norm)
 
-    def _add(self, graphs, balls):
-        """Refine the balls (one EgoBalls per graph) of graphs and store
-        each graph's block of ego rows."""
-        indptr, nbrs, origin, sizes = _concat_balls(balls)
+    def _add(self, graphs, indptr, nbrs, origin, sizes):
+        """Refine the balls of graphs (their union, as ``_concat_balls``
+        gives it) and store each graph's block of ego rows."""
         labels = np.fromiter(chain.from_iterable(g.labels for g in graphs),
                              dtype=np.int64, count=len(sizes))
         union = refine_union(indptr, nbrs, labels[origin], sizes,
@@ -300,10 +290,10 @@ class _WlRowCache:
 
     def matrix(self, graphs, balls_of):
         """CSC matrix of the graphs' ego rows plus their norms; balls_of maps
-        the graphs without a stored block to their EgoBalls."""
+        the graphs without a stored block to the union of their balls."""
         new = [g for g in dict.fromkeys(graphs) if g not in self._blocks]
         if new:
-            self._add(new, balls_of(new))
+            self._add(new, *balls_of(new))
         blocks = [self._blocks[g] for g in graphs]
         nnz = np.cumsum([0] + [len(b[1]) for b in blocks])
         indptr = np.concatenate(
@@ -365,35 +355,32 @@ class ForwardEngine:
     on every batch: every batch refines the union of its graphs' balls,
     and mask graphs are looked up in that batch's compression tables.
     Mask columns gather only the mask's colors from the batch's CSC
-    matrix. Graphlet counts ignore labels entirely and are cached per ego
-    graph, built with ``ego_subgraph``. Kernel values are bit-for-bit
-    identical to the plain per-graph path: all histogram dot products
-    are sums of small integers, exact in float64 in any order.
+    matrix. Graphlet counts ignore labels entirely, so the balls of a
+    batch's new graphs are counted in one array pass
+    (``kernels.graphlet3_union``) and each graph keeps one (n, 2) block of
+    counts per radius, which serves every depth. Kernel values are
+    bit-for-bit identical to the plain per-graph path: all histogram dot
+    products are sums of small integers, exact in float64 in any order.
     """
 
     def __init__(self, net: NetworkConfig):
         self.net = net
-        self._egos = {}      # (base graph, radius) -> list[EgoSubgraph]
         self._balls = {}     # (base graph, radius) -> EgoBalls
         self._deep_wl_radii = {layer.radius for layer in net.layers[1:]
                                if layer.kernel.kind == WL_SUBTREE}
         self._l0_cache = None  # _WlRowCache when layer 0 uses wl_subtree
-        self._g3 = {}        # ego graph -> graphlet count vector
+        self._g3_rows = {}   # (base graph, radius) -> (n, 2) graphlet counts
 
-    def _ego_templates(self, base: LabeledGraph, radius: int):
-        key = (base, radius)
-        out = self._egos.get(key)
-        if out is None:
-            out = [ego_subgraph(base, v, radius) for v in range(base.num_nodes)]
-            self._egos[key] = out
-        return out
-
-    def _ego_balls(self, graphs, radius: int) -> list:
-        """Each graph's EgoBalls; the graphs without them are built in one
-        ego_balls pass. Balls are kept only at a radius that a WL layer
-        above the first reads on every batch: layer 0 reads a graph's
-        balls once, to build the graph's row block."""
-        kept = self._balls if radius in self._deep_wl_radii else {}
+    def _ego_balls(self, graphs, radius: int):
+        """The balls of every node of graphs as one union, in
+        ``_concat_balls`` form. Each graph's EgoBalls are kept only at a
+        radius that a WL layer above the first reads on every batch, and
+        the graphs without them are built in one ego_balls pass. At any
+        other radius a graph's balls are read once, to build its rows, so
+        the union is built whole and kept by no one."""
+        if radius not in self._deep_wl_radii:
+            return _concat_balls([ego_balls(graphs, radius)])
+        kept = self._balls
         new = [g for g in dict.fromkeys(graphs) if (g, radius) not in kept]
         if new:
             union = ego_balls(new, radius)
@@ -411,7 +398,7 @@ class ForwardEngine:
                     nbrs=union.nbrs[edge_at[i]:edge_at[i + 1]] - u0,
                     origin=union.origin[u0:u1] - first[i],
                     sizes=union.sizes[first[i]:first[i + 1]])
-        return [kept[(g, radius)] for g in graphs]
+        return _concat_balls([kept[(g, radius)] for g in graphs])
 
     def _layer0_cache(self, layer: LayerConfig) -> "_WlRowCache":
         if self._l0_cache is None:
@@ -419,13 +406,6 @@ class ForwardEngine:
                                  layer.kernel.wl_iterations)
             self._l0_cache = _WlRowCache(table)
         return self._l0_cache
-
-    def _g3_vector(self, g: LabeledGraph) -> np.ndarray:
-        v = self._g3.get(g)
-        if v is None:
-            v = graphlet3_vector(g)
-            self._g3[g] = v
-        return v
 
     def _wl_first_layer(self, layer: LayerConfig, graphs, mask_graphs):
         """Responses via the cached layer-0 rows; returns (z, responses
@@ -452,8 +432,7 @@ class ForwardEngine:
         """Responses of a layer whose labels change per batch: one
         refinement of the union of the batch's ego balls; labels is the
         flat node labeling of the batch. Returns (z, responses closure)."""
-        indptr, nbrs, origin, sizes = _concat_balls(
-            self._ego_balls(graphs, layer.radius))
+        indptr, nbrs, origin, sizes = self._ego_balls(graphs, layer.radius)
         union = refine_union(indptr, nbrs, labels[origin], sizes,
                              layer.kernel.wl_iterations)
         num_labels = layer.input_dictionary.size
@@ -472,8 +451,22 @@ class ForwardEngine:
         z = np.column_stack([column(g) for g in mask_graphs])
         return z, column
 
-    def _graphlet_layer(self, layer: LayerConfig, egos, mask_graphs):
-        lv = np.stack([self._g3_vector(g) for g in egos])
+    def _graphlet_rows(self, graphs, radius: int) -> np.ndarray:
+        """graphlet3 counts of the radius-balls of every node of graphs, in
+        batch order; the graphs without a stored block are counted in one
+        pass."""
+        rows = self._g3_rows
+        new = [g for g in dict.fromkeys(graphs) if (g, radius) not in rows]
+        if new:
+            indptr, nbrs, _, sizes = self._ego_balls(new, radius)
+            counts = graphlet3_union(indptr, nbrs, sizes)
+            first = np.cumsum([0] + [g.num_nodes for g in new]).tolist()
+            for g, a, b in zip(new, first, first[1:]):
+                rows[(g, radius)] = counts[a:b]
+        return np.concatenate([rows[(g, radius)] for g in graphs])
+
+    def _graphlet_layer(self, layer: LayerConfig, graphs, mask_graphs):
+        lv = self._graphlet_rows(graphs, layer.radius)
         normalized = layer.kernel.normalized
         ln = np.sqrt((lv * lv).sum(axis=1))
 
@@ -487,19 +480,6 @@ class ForwardEngine:
         z = np.column_stack([column(g) for g in mask_graphs])
         return z, column
 
-    def _relabeled_egos(self, graphs, cur, radius: int):
-        """Ego graphs of every node of the batch under cur's labels."""
-        out = []
-        for base, g in zip(graphs, cur):
-            temps = self._ego_templates(base, radius)
-            if g is base:
-                out.extend(t.graph for t in temps)
-            else:
-                lab = g.labels
-                out.extend(t.graph.with_labels([lab[o] for o in t.origin])
-                           for t in temps)
-        return out
-
     def forward_graphs(self, params: ModelParams, graphs,
                        fit_rng: np.random.Generator = None,
                        zero_cols=frozenset(), want_trace: bool = False) -> BatchTrace:
@@ -511,43 +491,33 @@ class ForwardEngine:
         if not graphs:
             raise ModelError("empty batch")
         net = self.net
-        cur = graphs
-        slices = []
-        start = 0
-        for g in graphs:
-            slices.append((start, start + g.num_nodes))
-            start += g.num_nodes
-        # cur's labels in batch order
-        labels_flat = np.fromiter(chain.from_iterable(g.labels for g in cur),
-                                  dtype=np.int64, count=start)
-        per_graph_blocks = [[] for _ in graphs]
+        ends = np.cumsum([g.num_nodes for g in graphs]).tolist()
+        slices = list(zip([0] + ends[:-1], ends))
+        # the current layer's input labels in batch order
+        labels_flat = np.fromiter(
+            chain.from_iterable(g.labels for g in graphs), dtype=np.int64,
+            count=ends[-1])
+        layer_z = []
         layer_traces = []
         for l, layer in enumerate(net.layers):
             _check_layer_input(layer, labels_flat, params.masks[l])
             mask_graphs = [mk.graph for mk in params.masks[l]]
             if layer.kernel.kind == GRAPHLET3:
-                # graphlet counting ignores labels, so the structural
-                # templates serve at any depth
-                z_flat, responses = self._graphlet_layer(
-                    layer, self._relabeled_egos(graphs, graphs, layer.radius),
-                    mask_graphs)
+                z_flat, responses = self._graphlet_layer(layer, graphs,
+                                                         mask_graphs)
             elif l == 0:
                 z_flat, responses = self._wl_first_layer(layer, graphs,
                                                          mask_graphs)
             else:
                 z_flat, responses = self._wl_deep_layer(
                     layer, graphs, labels_flat, mask_graphs)
-            make_egos = (lambda cur=cur, r=layer.radius:
-                         self._relabeled_egos(graphs, cur, r))
             for (zl, zi) in zero_cols:
                 if zl == l:
                     z_flat[:, zi] = 0.0
-            for (a, b), blocks in zip(slices, per_graph_blocks):
-                blocks.append(z_flat[a:b])
+            layer_z.append(z_flat)
             if want_trace:
-                layer_traces.append(LayerBatch(
-                    before=z_flat, slices=slices, responses=responses,
-                    make_egos=make_egos))
+                layer_traces.append(LayerBatch(before=z_flat,
+                                               responses=responses))
             if l < net.num_layers - 1:
                 if net.quantizer_k[l] is None:
                     continue
@@ -558,7 +528,8 @@ class ForwardEngine:
                     raise CodebookStateError(
                         f"junction {l} codebook has not been fitted")
                 labels_flat = assign(cb, z_flat)
-                cur = [g.with_labels(labels_flat[a:b])
-                       for g, (a, b) in zip(cur, slices)]
-        features = [np.hstack(blocks) for blocks in per_graph_blocks]
-        return BatchTrace(features=features, layers=layer_traces)
+        # per-graph features are row views of one matrix; nothing
+        # downstream writes into them
+        z_all = layer_z[0] if len(layer_z) == 1 else np.hstack(layer_z)
+        return BatchTrace(features=[z_all[a:b] for a, b in slices],
+                          layers=layer_traces)

@@ -12,7 +12,7 @@ from gkconv.drd import (DrdError, EditOperation, EditProbabilities,
                         estimate_subgradient, init_mask_bank,
                         init_structural_mask, pair_index, sample_edit,
                         update_probs)
-from gkconv.graphs import LabelDictionary, LabeledGraph
+from gkconv.graphs import LabelDictionary, LabeledGraph, complete_graph
 from gkconv.kernels import (WL_SUBTREE, KernelConfig, kernel_eval,
                             kernel_matrix)
 from gkconv.model import LayerConfig, StructuralMask
@@ -105,6 +105,73 @@ def test_label_phase_without_alternatives_is_empty():
     ops, w = edit_distribution(mask, LABEL)
     assert ops == [] and len(w) == 0
     assert sample_edit(mask, LABEL, np.random.default_rng(0)) is None
+
+
+def loop_distribution(mask, phase):
+    """Reference: the legal edits and their weights, one pair or label at
+    a time."""
+    ws, ep = mask.workspace, mask.edit_probs
+    d = ws.num_nodes
+    ops, weights = [], []
+    if phase == EDGE:
+        p = ep.edge_probs()
+        for u in range(d):
+            for v in range(u + 1, d):
+                if ws.has_edge(u, v):
+                    ops.append(EditOperation.remove(u, v))
+                    weights.append(1.0 - p[pair_index(u, v, d)])
+                else:
+                    ops.append(EditOperation.add(u, v))
+                    weights.append(p[pair_index(u, v, d)])
+    else:
+        s = ep.label_probs()
+        for node in range(d):
+            for c in range(s.shape[1]):
+                if c != ws.labels[node]:
+                    ops.append(EditOperation.relabel(node, c))
+                    weights.append(s[node, c])
+    if not ops:
+        return [], np.zeros(0)
+    w = np.asarray(weights, dtype=np.float64)
+    total = w.sum()
+    if total <= 0.0:
+        return ops, np.full(len(ops), 1.0 / len(ops))
+    return ops, w / total
+
+
+def test_edit_distribution_matches_loop_reference_bitwise():
+    rng = np.random.default_rng(30)
+    # a complete workspace whose removals all weigh 0 takes the uniform
+    # fallback
+    full = StructuralMask(complete_graph(5),
+                          EditProbabilities.zeros(5, 1))
+    full.edit_probs.edge_logits[:] = 60.0
+    masks = [full]
+    for trial in range(60):
+        nodes, dict_size = int(rng.integers(1, 9)), int(rng.integers(1, 5))
+        mask = fresh_mask(nodes, dict_size, seed=trial)
+        ep = mask.edit_probs
+        ep.edge_logits[:] = rng.normal(scale=4.0, size=ep.edge_logits.shape)
+        ep.label_logits[:] = rng.normal(scale=4.0,
+                                        size=ep.label_logits.shape)
+        if trial % 10 == 0:  # saturated sigmoids: zero-weight removals
+            ep.edge_logits[:] = np.where(
+                [mask.workspace.has_edge(u, v) for u in range(nodes)
+                 for v in range(u + 1, nodes)], 60.0, -60.0)
+        masks.append(mask)
+    for trial, mask in enumerate(masks):
+        for phase in (EDGE, LABEL):
+            want_ops, want_w = loop_distribution(mask, phase)
+            ops, w = edit_distribution(mask, phase)
+            assert ops == want_ops
+            assert w.tobytes() == want_w.tobytes()
+            draw = sample_edit(mask, phase, np.random.default_rng(trial))
+            if want_ops:
+                pick = np.random.default_rng(trial).choice(len(want_ops),
+                                                           p=want_w)
+                assert draw == want_ops[int(pick)]
+            else:
+                assert draw is None
 
 
 def test_unknown_phase_raises():

@@ -8,19 +8,22 @@ import networkx as nx
 import numpy as np
 import pytest
 
+import gkconv.experiment as ex
 from gkconv import model
+from gkconv.data import generate_triangle_cycle_dataset, split_holdout
 from gkconv.drd import EditProbabilities, init_mask_bank
 from gkconv.graphs import (LabelDictionary, LabeledGraph, complete_graph,
                            cycle_graph, disjoint_union, path_graph,
                            star_graph)
 from gkconv.kernels import (GRAPHLET3, WL_SUBTREE, KernelConfig,
-                            WlColorTable, kernel_matrix)
+                            WlColorTable, graphlet3_vector, kernel_matrix)
 from gkconv.model import (CodebookStateError, ForwardEngine, LayerConfig,
                           ModelError, ModelParams, NetworkConfig,
                           StructuralMask, gkc_forward, network_forward,
                           random_connected_graph)
 from gkconv.graphs import ego_subgraph
-from gkconv.quantizer import Codebook
+from gkconv.quantizer import Codebook, assign
+from gkconv.rng import stream
 from conftest import random_graph, to_nx
 
 WL1 = KernelConfig(kind=WL_SUBTREE, wl_iterations=1, normalized=True)
@@ -38,6 +41,22 @@ def make_params(net, rng):
     masks = [init_mask_bank(l, rng, 0.01) for l in net.layers]
     books = [None if k is None else Codebook(k) for k in net.quantizer_k]
     return ModelParams(masks=masks, codebooks=books, mlp=None)
+
+
+def batch_egos(net, params, graphs, trace, l):
+    """ego_subgraph of every node of a traced batch, under the labels
+    layer l saw: the input labels, re-assigned at each quantizing
+    junction below l from that layer's traced responses."""
+    labels = np.fromiter((x for g in graphs for x in g.labels),
+                         dtype=np.int64)
+    for j in range(l):
+        if net.quantizer_k[j] is not None:
+            labels = assign(params.codebooks[j], trace.layers[j].before)
+    radius = net.layers[l].radius
+    ends = np.cumsum([g.num_nodes for g in graphs])
+    return [ego_subgraph(g.with_labels(labels[b - g.num_nodes:b]), v,
+                         radius).graph
+            for g, b in zip(graphs, ends) for v in range(g.num_nodes)]
 
 
 def test_layer_config_validation():
@@ -186,7 +205,8 @@ def test_engine_trace_responses_match_kernel_matrix():
         lt = trace.layers[0]
         probe = random_connected_graph(4, 2, rng)
         got = lt.responses(probe)
-        want = kernel_matrix(kernel, lt.egos, [probe])[:, 0]
+        egos = batch_egos(net, params, graphs, trace, 0)
+        want = kernel_matrix(kernel, egos, [probe])[:, 0]
         assert np.array_equal(got, want)
         # before-matrix equals the per-mask responses too
         for i, mk in enumerate(params.masks[0]):
@@ -290,18 +310,26 @@ def test_engine_is_stable_across_repeated_batches():
 
 
 def test_ego_subgraph_engine_consistency():
-    # engine ego templates must reproduce plain ego extraction
+    # the engine's balls and graphlet rows must reproduce plain ego
+    # extraction
     rng = np.random.default_rng(13)
     g = random_graph(rng, n_max=8, dict_size=2)
-    lay = layer(num_masks=1, nodes=3, radius=2, kernel=WL1, dict_size=2)
+    lay = layer(num_masks=1, nodes=3, radius=2, kernel=G3, dict_size=2)
     net = NetworkConfig(layers=(lay,), quantizer_k=())
     params = ModelParams(masks=[[k3_mask()]], codebooks=[], mlp=None)
-    trace = ForwardEngine(net).forward_graphs(params, [g], want_trace=True)
-    egos = trace.layers[0].egos
+    engine = ForwardEngine(net)
+    engine.forward_graphs(params, [g])
+    indptr, nbrs, origin, sizes = engine._ego_balls([g], 2)
+    rows = engine._graphlet_rows([g], 2)
+    starts = np.concatenate(([0], np.cumsum(sizes))).tolist()
     for v in range(g.num_nodes):
         ref = ego_subgraph(g, v, 2).graph
-        assert egos[v].edges == ref.edges
-        assert egos[v].labels == ref.labels
+        lo, hi = starts[v], starts[v + 1]
+        edges = tuple((i - lo, int(j) - lo) for i in range(lo, hi)
+                      for j in nbrs[indptr[i]:indptr[i + 1]] if j > i)
+        assert edges == ref.edges
+        assert tuple(g.labels[o] for o in origin[lo:hi]) == ref.labels
+        assert np.array_equal(rows[v], graphlet3_vector(ref))
 
 
 # -- layer 0: one array refinement per batch of new graphs -------------------
@@ -357,11 +385,12 @@ def test_layer0_rows_stay_valid_when_a_later_batch_adds_colors():
     for g, feat in zip(second, trace.features):
         assert np.array_equal(feat, network_forward(net, params, g))
     lt = trace.layers[0]
-    assert "egos" not in vars(lt)  # built on first read only
+    assert not hasattr(lt, "egos")  # the engine builds no ego graphs
+    egos = batch_egos(net, params, second, trace, 0)
     probes = [paw([1, 1, 1, 0]), paw([2, 2, 2, 2]), LabeledGraph(1, [], [2]),
               star_graph(7, [1] * 8), cycle_graph(4, [2, 1, 2, 1])]
     for probe in probes:
-        want = kernel_matrix(WL3, lt.egos, [probe])[:, 0]
+        want = kernel_matrix(WL3, egos, [probe])[:, 0]
         assert np.array_equal(lt.responses(probe), want)
     # the first batch's rows are still valid under the grown table
     again = engine.forward_graphs(params, first + second[:1]).features
@@ -408,7 +437,7 @@ WL3_RAW = KernelConfig(kind=WL_SUBTREE, wl_iterations=3, normalized=False)
 
 def assert_deep_layer_exact(net, params, graphs, probes, fit=False):
     """Engine features equal the per-graph reference bitwise, and the
-    layer-1 evaluator equals kernel_matrix over the traced egos."""
+    layer-1 evaluator equals kernel_matrix over the batch's egos."""
     engine = ForwardEngine(net)
     if fit:
         engine.forward_graphs(params, graphs,
@@ -417,10 +446,11 @@ def assert_deep_layer_exact(net, params, graphs, probes, fit=False):
     for g, feat in zip(graphs, trace.features):
         assert np.array_equal(feat, network_forward(net, params, g))
     lt = trace.layers[1]
-    assert "egos" not in vars(lt)  # built on first read only
+    assert not hasattr(lt, "egos")  # the engine builds no ego graphs
+    egos = batch_egos(net, params, graphs, trace, 1)
     kernel = net.layers[1].kernel
     for probe in probes:
-        want = kernel_matrix(kernel, lt.egos, [probe])[:, 0]
+        want = kernel_matrix(kernel, egos, [probe])[:, 0]
         assert np.array_equal(lt.responses(probe), want)
     for i, mk in enumerate(params.masks[1]):
         assert np.array_equal(lt.before[:, i], lt.responses(mk.graph))
@@ -483,3 +513,106 @@ def test_deep_layer_one_node_graphs():
         params, [LabeledGraph(0, [], [])], want_trace=True)
     assert trace.features[0].shape == (0, net.feature_dim)
     assert trace.layers[1].responses(probes[2]).shape == (0,)
+
+
+# -- graphlet3: array counts per batch of new graphs ------------------------
+
+def far_triangles():
+    """Node 0 hangs off hub 1; the triangle 2-3-4 sits two hops from 0,
+    and the triangle 4-5-6 has its 5-6 edge three hops out."""
+    return LabeledGraph(7, [(0, 1), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4),
+                            (3, 4), (4, 5), (4, 6), (5, 6)], [0] * 7)
+
+
+def graphlet_corpus(rng):
+    fixed = [LabeledGraph(1, [], [0]),
+             LabeledGraph(5, [(1, 3)], [0, 1, 0, 1, 0]),  # isolated nodes
+             disjoint_union(cycle_graph(3), path_graph(4)),
+             complete_graph(4), complete_graph(5), far_triangles(),
+             LabeledGraph(0, [], [])]
+    return fixed + [random_graph(rng, n_max=9, dict_size=2)
+                    for _ in range(8)]
+
+
+def reference_rows(graphs, r):
+    return np.array([graphlet3_vector(ego_subgraph(g, v, r).graph)
+                     for g in graphs for v in range(g.num_nodes)]
+                    ).reshape(-1, 2)
+
+
+@pytest.mark.parametrize("r", [0, 1, 2, 3, 4])
+def test_graphlet_rows_match_ego_subgraph(r):
+    # r = 4 reaches past the diameter of every graph of the corpus
+    graphs = graphlet_corpus(np.random.default_rng(20))
+    engine = ForwardEngine(NetworkConfig(layers=(layer(kernel=G3),),
+                                         quantizer_k=()))
+    assert np.array_equal(engine._graphlet_rows(graphs, r),
+                          reference_rows(graphs, r))
+
+
+def test_graphlet_rows_count_each_graph_once(monkeypatch):
+    rng = np.random.default_rng(21)
+    corpus = graphlet_corpus(rng)
+    net = NetworkConfig(layers=(layer(num_masks=3, nodes=4, radius=2,
+                                      kernel=G3, dict_size=2),),
+                        quantizer_k=())
+    params = make_params(net, rng)
+    counted = []
+    real_union = model.graphlet3_union
+
+    def count_union(indptr, indices, sizes):
+        counted.append(len(sizes))
+        return real_union(indptr, indices, sizes)
+
+    monkeypatch.setattr(model, "graphlet3_union", count_union)
+    engine = ForwardEngine(net)
+    engine.forward_graphs(params, corpus[:5])
+    # seen and new graphs, one of them twice
+    batch = corpus[2:] + corpus[3:4] + corpus[:1]
+    trace = engine.forward_graphs(params, batch, want_trace=True)
+    assert counted == [sum(g.num_nodes for g in corpus[:5]),
+                       sum(g.num_nodes for g in corpus[5:])]
+    assert np.array_equal(engine._graphlet_rows(batch, 2),
+                          reference_rows(batch, 2))
+    for g, feat in zip(batch, trace.features):
+        if g.num_nodes:
+            assert np.array_equal(feat, network_forward(net, params, g))
+        else:
+            assert feat.shape == (0, net.feature_dim)
+
+
+@pytest.mark.parametrize("kinds", [(WL2, G3), (G3, WL2), (G3, G3)],
+                         ids=["g3_above_wl", "wl_above_g3", "g3_twice"])
+def test_graphlet_layers_against_reference(kinds):
+    rng = np.random.default_rng(22)
+    radius = 2 if kinds[0] is G3 else 1
+    l0 = layer(num_masks=3, nodes=4, radius=radius, kernel=kinds[0],
+               dict_size=2)
+    l1 = layer(num_masks=3, nodes=4, radius=2, kernel=kinds[1], dict_size=3)
+    net = NetworkConfig(layers=(l0, l1), quantizer_k=(3,))
+    params = make_params(net, rng)
+    # the reference path refuses a graph without nodes
+    graphs = [g for g in graphlet_corpus(rng) if g.num_nodes]
+    graphs += graphs[:2]
+    probes = [random_connected_graph(d, 3, rng) for d in (1, 2, 3, 5)]
+    probes += [complete_graph(3, [0, 1, 2]), path_graph(3, [2, 2, 2])]
+    assert_deep_layer_exact(net, params, graphs, probes, fit=True)
+
+
+def test_graphlet3_net_never_builds_ego_graphs(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("ego_subgraph called")
+
+    monkeypatch.setattr(model, "ego_subgraph", refuse)
+    ds = generate_triangle_cycle_dataset(40, stream(0, "synth"))
+    net = ex.build_network(ds.dictionary.size, num_masks=3, mask_nodes=4,
+                           radius=2, kernel_kind=GRAPHLET3, num_layers=2,
+                           quantizer_k=3)
+    cfg = ex.TrainConfig(epochs=2, batch_size=16, seed=0)
+    params, report = ex.train(ds, split_holdout(ds, stream(0, "splits")),
+                              net, cfg)
+    assert len(report.rows) == 2
+    trace = ForwardEngine(net).forward_graphs(params, ds.graphs)
+    assert len(trace.features) == len(ds.graphs)
+    with pytest.raises(AssertionError, match="ego_subgraph called"):
+        network_forward(net, params, ds.graphs[0])  # the patch is live
