@@ -7,16 +7,15 @@ layers, and a small MLP over sum-pooled features does the classifying.
 """
 
 from .graphs import (EgoSubgraph, GraphError, LabelDictionary, LabeledGraph,
-                     connected_components, ego_subgraph,
-                     graph_equal_canonical, max_connected_component, to_dot)
+                     connected_components, ego_subgraph, to_dot)
 from .kernels import (GRAPHLET3, WL_SUBTREE, KernelConfig, WlColorTable,
-                      graphlet3_kernel, kernel_eval, kernel_matrix,
-                      wl_indistinguishable, wl_refine, wl_subtree_kernel)
+                      kernel_eval, kernel_matrix, wl_indistinguishable,
+                      wl_subtree_kernel)
 from .quantizer import Codebook, CodebookStateError, assign, fit_update
 from .model import (ForwardEngine, LayerConfig, ModelParams, NetworkConfig,
                     StructuralMask, gkc_forward, network_forward)
-from .drd import (EditOperation, EditProbabilities, apply_edit, drd_step,
-                  estimate_subgradient, init_mask_bank, sample_edit)
+from .drd import (EditOperation, EditProbabilities, apply_edit,
+                  drd_step_batched, init_mask_bank, sample_edit)
 from .head import (LossReport, MlpParams, Readout, accuracy, backward,
                    batch_loss, cross_entropy, gradients, init_mlp, jsd_grad,
                    jsd_loss, mlp_forward, pool_sum, readout)

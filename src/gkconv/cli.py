@@ -218,19 +218,29 @@ def _load_dataset(cfg, cmd):
         raise UsageError(str(e)) from e
 
 
-def _train_pieces(cfg, ds):
-    net = experiment.build_network(
-        ds.dictionary.size, num_masks=cfg["masks"],
-        mask_nodes=cfg["mask_nodes"], radius=cfg["radius"],
-        num_layers=cfg["layers"], kernel_kind=_kernel_kind(cfg["kernel"]),
-        wl_iterations=cfg["wl_iters"], normalized=not cfg["raw"],
-        quantizer_k=cfg["quantizer_k"])
-    tc = experiment.TrainConfig(
+def _layer_kernel(cfg):
+    return KernelConfig(kind=_kernel_kind(cfg["kernel"]),
+                        wl_iterations=cfg["wl_iters"],
+                        normalized=not cfg["raw"])
+
+
+def _train_config(cfg):
+    return experiment.TrainConfig(
         epochs=cfg["epochs"], batch_size=cfg["batch"],
         mlp_lr=cfg["mlp_lr"], prob_lr=cfg["prob_lr"],
         jsd_weight=cfg["jsd_weight"], patience=cfg["patience"],
         seed=cfg["seed"], hidden=cfg["hidden"])
-    return net, tc
+
+
+def _train_pieces(cfg, ds):
+    kernel = _layer_kernel(cfg)
+    net = experiment.build_network(
+        ds.dictionary.size, num_masks=cfg["masks"],
+        mask_nodes=cfg["mask_nodes"], radius=cfg["radius"],
+        num_layers=cfg["layers"], kernel_kind=kernel.kind,
+        wl_iterations=kernel.wl_iterations, normalized=kernel.normalized,
+        quantizer_k=cfg["quantizer_k"])
+    return net, _train_config(cfg)
 
 
 def _write_resolved(out_dir, cfg):
@@ -290,19 +300,16 @@ def cmd_grid(args):
     cfg = _resolve(args, opts)
     _print_config("grid", cfg)
     ds = _load_dataset(cfg, "grid")
-    tc = experiment.TrainConfig(
-        epochs=cfg["epochs"], batch_size=cfg["batch"], mlp_lr=cfg["mlp_lr"],
-        prob_lr=cfg["prob_lr"], jsd_weight=cfg["jsd_weight"],
-        patience=cfg["patience"], seed=cfg["seed"], hidden=cfg["hidden"])
+    tc = _train_config(cfg)
     out_dir = Path(cfg["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_resolved(out_dir, cfg)
     result = experiment.grid_search(
         ds, tc, masks_grid=cfg["grid_masks"], nodes_grid=cfg["grid_nodes"],
         radius_grid=cfg["grid_radius"], layers_grid=cfg["grid_layers"],
-        kernel_kind=_kernel_kind(cfg["kernel"]),
-        wl_iterations=cfg["wl_iters"], sample=cfg["sample"],
-        jobs=cfg["jobs"], out_csv=out_dir / "leaderboard.csv")
+        kernel=_layer_kernel(cfg), quantizer_k=cfg["quantizer_k"],
+        sample=cfg["sample"], jobs=cfg["jobs"],
+        out_csv=out_dir / "leaderboard.csv")
     print(f"ran {len(result.rows)} configurations")
     print("best:", {k: result.best[k]
                     for k in ("num_masks", "mask_nodes", "radius",

@@ -18,7 +18,6 @@ from itertools import combinations, islice
 import numpy as np
 
 from .graphs import LabeledGraph
-from .kernels import KernelConfig, kernel_matrix
 from .model import LayerConfig, StructuralMask, random_connected_graph
 from .optim import Adam
 
@@ -186,24 +185,6 @@ def effective_change(before: StructuralMask, after: StructuralMask) -> bool:
             or before.graph.labels != after.graph.labels)
 
 
-def estimate_subgradient(before: StructuralMask, after: StructuralMask,
-                         batch, kernel: KernelConfig) -> float:
-    """First-order estimate of the loss change caused by a mask edit.
-
-    batch is a list of (ego graph, d loss / d feature) pairs covering
-    every node of the training batch; the estimate is the gradient-
-    weighted sum of kernel response changes.
-    """
-    if not effective_change(before, after):
-        return 0.0
-    if not batch:
-        return 0.0
-    egos = [e for e, _ in batch]
-    grads = np.asarray([g for _, g in batch], dtype=np.float64)
-    k = kernel_matrix(kernel, egos, [before.graph, after.graph])
-    return float(grads @ (k[:, 1] - k[:, 0]))
-
-
 def update_probs(mask: StructuralMask, op: EditOperation, est: float) -> None:
     """Adam step on the sampling logits after a proposal is scored.
 
@@ -231,34 +212,20 @@ def update_probs(mask: StructuralMask, op: EditOperation, est: float) -> None:
         raise DrdError(f"unknown edit kind {op.kind!r}")
 
 
-def drd_step(mask: StructuralMask, batch, kernel: KernelConfig, phase: str,
-             rng: np.random.Generator):
-    """One propose / score / decide cycle for one mask.
-
-    Returns (mask after the step, accepted, estimate). The edit is kept
-    exactly when the estimate is <= 0; the sampling distribution is
-    updated either way. A phase with no legal edits is a no-op that
-    returns (mask, False, 0.0) without touching any state.
-    """
-    op = sample_edit(mask, phase, rng)
-    if op is None:
-        return mask, False, 0.0
-    after = apply_edit(mask, op)
-    est = estimate_subgradient(mask, after, batch, kernel)
-    update_probs(mask, op, est)
-    if est <= 0.0:
-        return after, True, est
-    return mask, False, est
-
-
 def drd_step_batched(mask: StructuralMask, phase: str,
                      rng: np.random.Generator, responses, before_col,
                      grads):
-    """drd_step against a precomputed batch trace.
+    """One propose / score / decide cycle for one mask.
 
     responses maps a candidate mask graph to its response column over the
-    batch egos and before_col is that column for the current mask, so the
-    estimate costs one kernel column instead of two.
+    egos of every node of the batch, before_col is that column for the
+    current mask and grads is d loss / d response per node; the estimate
+    of the loss change is grads . (responses(after) - before_col), and 0
+    for an edit the kernel cannot see. Returns (mask after the step,
+    accepted, estimate). The edit is kept exactly when the estimate is
+    <= 0; the sampling distribution is updated either way. A phase with
+    no legal edits is a no-op that returns (mask, False, 0.0) without
+    touching any state.
     """
     op = sample_edit(mask, phase, rng)
     if op is None:

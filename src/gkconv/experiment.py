@@ -43,8 +43,7 @@ class TrainingDiverged(RuntimeError):
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Knobs of one training run. hidden=0 means 'first mask bank size';
-    proposals_per_mask is how many edits each mask gets per batch."""
+    """Knobs of one training run. hidden=0 means 'first mask bank size'."""
 
     epochs: int = 200
     batch_size: int = 32
@@ -54,7 +53,6 @@ class TrainConfig:
     patience: int = 100
     seed: int = 0
     hidden: int = 0
-    proposals_per_mask: int = 1
     check_invariants: bool = False
 
     def __post_init__(self):
@@ -67,8 +65,6 @@ class TrainConfig:
             raise ExperimentError("jsd_weight must be >= 0")
         if self.patience < 1:
             raise ExperimentError("patience must be >= 1")
-        if self.proposals_per_mask < 1:
-            raise ExperimentError("proposals_per_mask must be >= 1")
 
 
 def build_network(dict_size: int, num_masks: int = 16, mask_nodes: int = 6,
@@ -230,16 +226,12 @@ def train(ds: GraphDataset, split: Split, net: NetworkConfig,
             for l, layer in enumerate(net.layers):
                 lb = trace.layers[l]
                 for i in range(layer.num_masks):
-                    grads_flat = dx_cols[col + i]
-                    for _ in range(cfg.proposals_per_mask):
-                        mask = params.masks[l][i]
-                        new_mask, ok, est = drd.drd_step_batched(
-                            mask, phase, drd_rngs[(l, i)], lb.responses,
-                            lb.before[:, i], grads_flat)
-                        if ok or est != 0.0:
-                            proposals += 1
-                            accepted_count += int(ok)
-                        params.masks[l][i] = new_mask
+                    params.masks[l][i], ok, est = drd.drd_step_batched(
+                        params.masks[l][i], phase, drd_rngs[(l, i)],
+                        lb.responses, lb.before[:, i], dx_cols[col + i])
+                    if ok or est != 0.0:
+                        proposals += 1
+                        accepted_count += int(ok)
                     if cfg.check_invariants:
                         _assert_invariants(params.masks[l], ok, est)
                 col += layer.num_masks
@@ -329,9 +321,11 @@ def _grid_combos(masks_grid, nodes_grid, radius_grid, layers_grid):
 
 
 def _run_grid_combo(args):
-    ds, combo, cfg, split, kernel_kind, wl_iterations = args
-    net = build_network(ds.dictionary.size, kernel_kind=kernel_kind,
-                        wl_iterations=wl_iterations, **combo)
+    ds, combo, cfg, split, kernel, quantizer_k = args
+    net = build_network(ds.dictionary.size, kernel_kind=kernel.kind,
+                        wl_iterations=kernel.wl_iterations,
+                        normalized=kernel.normalized,
+                        quantizer_k=quantizer_k, **combo)
     row = dict(combo)
     try:
         _, report = train(ds, split, net, cfg)
@@ -354,10 +348,13 @@ def _run_grid_combo(args):
 def grid_search(ds: GraphDataset, cfg: TrainConfig,
                 masks_grid=(8, 16, 32), nodes_grid=(6, 8),
                 radius_grid=(1, 2, 3), layers_grid=(1, 2, 3),
-                kernel_kind: str = WL_SUBTREE, wl_iterations: int = 3,
+                kernel: KernelConfig = KernelConfig(), quantizer_k: int = 0,
                 sample: int = 0, jobs: int = 1,
                 out_csv=None) -> GridResult:
     """Hyperparameter sweep over one holdout split.
+
+    Every candidate's layers use kernel, and its junctions quantize into
+    quantizer_k labels as in build_network.
 
     Candidates are ranked by validation accuracy, then validation loss,
     then enumeration order. sample > 0 draws that many candidates
@@ -371,7 +368,7 @@ def grid_search(ds: GraphDataset, cfg: TrainConfig,
         combos = [combos[int(i)] for i in sorted(pick)]
     split = split_holdout(ds, stream(cfg.seed, "splits"))
     tasks = [(ds, combo, replace(cfg, seed=derive_seed(cfg.seed, 1000 + i)),
-              split, kernel_kind, wl_iterations)
+              split, kernel, quantizer_k)
              for i, combo in enumerate(combos)]
     if jobs > 1:
         with get_context("spawn").Pool(min(jobs, len(tasks))) as pool:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import chain, permutations
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -18,10 +18,6 @@ import scipy.sparse as sp
 
 class GraphError(ValueError):
     """Raised for structurally invalid graph inputs."""
-
-
-class UnsupportedSizeError(GraphError):
-    """Raised when an exact algorithm is asked for a graph above its size cap."""
 
 
 @dataclass(frozen=True)
@@ -267,47 +263,6 @@ def induced_subgraph(g: LabeledGraph, nodes) -> LabeledGraph:
             if w > p and w in local:
                 edges.append((local[p], local[w]))
     return LabeledGraph(len(nodes), edges, [g.labels[p] for p in nodes])
-
-
-def max_connected_component(g: LabeledGraph) -> LabeledGraph:
-    """Largest connected component as a standalone graph."""
-    return induced_subgraph(g, max_component_nodes(g))
-
-
-_CANONICAL_CAP = 8
-
-
-def graph_equal_canonical(g1: LabeledGraph, g2: LabeledGraph) -> bool:
-    """Exact label-preserving isomorphism test for graphs up to 8 nodes.
-
-    Brute force over node permutations with cheap invariant pruning first.
-    Only used in tests and small-mask comparisons, hence the size cap.
-    """
-    if g1.num_nodes > _CANONICAL_CAP or g2.num_nodes > _CANONICAL_CAP:
-        raise UnsupportedSizeError(
-            f"isomorphism test capped at {_CANONICAL_CAP} nodes")
-    n = g1.num_nodes
-    if n != g2.num_nodes or g1.num_edges != g2.num_edges:
-        return False
-    if sorted(g1.labels) != sorted(g2.labels):
-        return False
-    prof1 = sorted((g1.labels[v], g1.degree(v)) for v in range(n))
-    prof2 = sorted((g2.labels[v], g2.degree(v)) for v in range(n))
-    if prof1 != prof2:
-        return False
-    e2 = set(g2.edges)
-    for perm in permutations(range(n)):
-        if any(g2.labels[perm[v]] != g1.labels[v] for v in range(n)):
-            continue
-        ok = True
-        for a, b in g1.edges:
-            pa, pb = perm[a], perm[b]
-            if ((pa, pb) if pa < pb else (pb, pa)) not in e2:
-                ok = False
-                break
-        if ok:
-            return True
-    return False
 
 
 def to_dot(g: LabeledGraph, name: str = "G", colors=None) -> str:

@@ -1,13 +1,17 @@
 """Graph kernels over labeled graphs.
 
-Two kernels are provided behind one config type:
+Two kernels are provided behind one config type, and ``kernel_matrix``
+is the one evaluator of both for lists of graphs; ``kernel_eval`` and
+``wl_subtree_kernel`` are its single entries.
 
 * ``wl_subtree`` counts matching rooted subtree patterns via iterative
   color refinement. A signature (own color, sorted multiset of neighbor
-  colors) is mapped to a compressed color id through a shared table; the
+  colors) is mapped to a compressed color id through a WlColorTable; the
   kernel is the dot product of the combined color histograms over
-  refinement rounds 0..h. Kernel values do not depend on how the color
-  table is shared between calls, only on which graphs are compared.
+  refinement rounds 0..h. ``kernel_matrix`` refines all its graphs with
+  one table. ``refine_union`` refines a whole disjoint union of graphs
+  in array passes instead, which is how the forward engine scores ego
+  balls in batches.
 * ``graphlet3`` counts induced connected 3-node subgraphs (triangles and
   paths) and takes the dot product of the two count vectors. Node labels
   are ignored. ``graphlet3_union`` counts every part of a disjoint union
@@ -20,11 +24,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 import scipy.sparse as sp
 
-from .graphs import GraphError, LabeledGraph, _ranges
+from .graphs import LabeledGraph, _ranges
 
 WL_SUBTREE = "wl_subtree"
 GRAPHLET3 = "graphlet3"
@@ -54,17 +59,6 @@ class KernelConfig:
         if self.kind == WL_SUBTREE and self.wl_iterations < 1:
             raise KernelError(
                 f"wl_subtree needs wl_iterations >= 1, got {self.wl_iterations}")
-
-
-@dataclass
-class WlColoring:
-    """Per-iteration node colors from refinement rounds 0..h."""
-
-    colors: list  # colors[t][v] = color of node v after round t
-
-    @property
-    def iterations(self) -> int:
-        return len(self.colors) - 1
 
 
 class WlColorTable:
@@ -149,36 +143,12 @@ class WlColorTable:
         return self.refine(g)[1]
 
 
-def wl_refine(g: LabeledGraph, iterations: int) -> WlColoring:
-    """Standalone color refinement of one graph (fresh table)."""
-    base = max(g.labels, default=0) + 1
-    table = WlColorTable(base, iterations)
-    per_round, _ = table.refine(g)
-    return WlColoring(colors=per_round)
-
-
-def _hist_dot(h1: Counter, h2: Counter) -> float:
-    if len(h2) < len(h1):
-        h1, h2 = h2, h1
-    return float(sum(v * h2.get(k, 0) for k, v in h1.items()))
-
-
 def _label_base(graphs) -> int:
     base = 1
     for g in graphs:
         if g.num_nodes:
             base = max(base, max(g.labels) + 1)
     return base
-
-
-def wl_subtree_kernel(g1: LabeledGraph, g2: LabeledGraph,
-                      iterations: int = 3, table: WlColorTable = None) -> float:
-    """Unnormalized subtree kernel: dot of combined color histograms."""
-    if table is None:
-        table = WlColorTable(_label_base((g1, g2)), iterations)
-    elif table.iterations != iterations:
-        raise KernelError("table iteration count does not match request")
-    return _hist_dot(table.histogram(g1), table.histogram(g2))
 
 
 def graphlet3_vector(g: LabeledGraph) -> np.ndarray:
@@ -212,57 +182,6 @@ def graphlet3_union(indptr, indices, sizes) -> np.ndarray:
     return np.column_stack((tri, wedges - 3 * tri))
 
 
-def graphlet3_kernel(g1: LabeledGraph, g2: LabeledGraph) -> float:
-    return float(graphlet3_vector(g1) @ graphlet3_vector(g2))
-
-
-def _raw_kernel(cfg: KernelConfig, g1, g2, table=None) -> float:
-    if cfg.kind == WL_SUBTREE:
-        return wl_subtree_kernel(g1, g2, cfg.wl_iterations, table)
-    return graphlet3_kernel(g1, g2)
-
-
-def kernel_eval(cfg: KernelConfig, g1: LabeledGraph, g2: LabeledGraph) -> float:
-    """Kernel value under cfg; normalized form is k12 / sqrt(k11 k22)."""
-    if not cfg.normalized:
-        return _raw_kernel(cfg, g1, g2)
-    if cfg.kind == WL_SUBTREE:
-        table = WlColorTable(_label_base((g1, g2)), cfg.wl_iterations)
-        h1, h2 = table.histogram(g1), table.histogram(g2)
-        k12 = _hist_dot(h1, h2)
-        k11 = _hist_dot(h1, h1)
-        k22 = _hist_dot(h2, h2)
-    else:
-        v1, v2 = graphlet3_vector(g1), graphlet3_vector(g2)
-        k12 = float(v1 @ v2)
-        k11 = float(v1 @ v1)
-        k22 = float(v2 @ v2)
-    if k11 <= 0.0 or k22 <= 0.0:
-        return 0.0
-    # same op order as the matrix path so both give bitwise-equal values
-    return k12 / (np.sqrt(k11) * np.sqrt(k22))
-
-
-def _csr_from_hists(hists, vocab) -> sp.csr_matrix:
-    indptr = [0]
-    indices = []
-    data = []
-    for h in hists:
-        for key, cnt in h.items():
-            col = vocab.get(key)
-            if col is None:
-                col = len(vocab)
-                vocab[key] = col
-            indices.append(col)
-            data.append(cnt)
-        indptr.append(len(indices))
-    return sp.csr_matrix(
-        (np.asarray(data, dtype=np.float64),
-         np.asarray(indices, dtype=np.int64),
-         np.asarray(indptr, dtype=np.int64)),
-        shape=(len(hists), max(len(vocab), 1)))
-
-
 def safe_divide(out: np.ndarray, denom: np.ndarray) -> np.ndarray:
     """out / denom in place where denom > 0, zero where it is not.
 
@@ -274,45 +193,53 @@ def safe_divide(out: np.ndarray, denom: np.ndarray) -> np.ndarray:
     return out
 
 
-def kernel_matrix(cfg: KernelConfig, left, right,
-                  table: WlColorTable = None) -> np.ndarray:
+def kernel_matrix(cfg: KernelConfig, left, right) -> np.ndarray:
     """All-pairs kernel values, shape (len(left), len(right)).
 
-    For wl_subtree one shared color table covers every comparison; pass a
-    persistent table (matching iteration count and label base) to reuse
-    colors across calls.
+    Every graph of left + right becomes one row of a feature matrix: for
+    wl_subtree its combined color histogram under one WlColorTable that
+    refines them all, as a CSR row whose columns are the color ids; for
+    graphlet3 its count vector. The kernel is the left rows times the
+    right rows, normalized by the rows' Euclidean norms.
     """
     left, right = list(left), list(right)
+    n = len(left)
     if not left or not right:
-        return np.zeros((len(left), len(right)), dtype=np.float64)
+        return np.zeros((n, len(right)), dtype=np.float64)
+    graphs = left + right
     if cfg.kind == WL_SUBTREE:
-        if table is None:
-            table = WlColorTable(_label_base(left + right), cfg.wl_iterations)
-        elif table.iterations != cfg.wl_iterations:
-            raise KernelError("table iteration count does not match config")
-        lh = [table.histogram(g) for g in left]
-        rh = [table.histogram(g) for g in right]
-        vocab = {}
-        lm = _csr_from_hists(lh, vocab)
-        rm = _csr_from_hists(rh, vocab)
-        if lm.shape[1] < len(vocab):
-            lm.resize((lm.shape[0], len(vocab)))
-        if rm.shape[1] < len(vocab):
-            rm.resize((rm.shape[0], len(vocab)))
-        out = (lm @ rm.T).toarray()
-        if cfg.normalized:
-            ln = np.sqrt([_hist_dot(h, h) for h in lh])
-            rn = np.sqrt([_hist_dot(h, h) for h in rh])
-            safe_divide(out, np.outer(ln, rn))
+        table = WlColorTable(_label_base(graphs), cfg.wl_iterations)
+        hists = [table.histogram(g) for g in graphs]
+        sizes = [len(h) for h in hists]
+        counts = np.fromiter(chain.from_iterable(h.values() for h in hists),
+                             dtype=np.float64, count=sum(sizes))
+        rows = sp.csr_matrix(
+            (counts, np.fromiter(chain.from_iterable(hists), dtype=np.int64,
+                                 count=len(counts)), np.cumsum([0] + sizes)),
+            shape=(len(graphs), table._next))
+        sq = np.bincount(np.repeat(np.arange(len(graphs)), sizes),
+                         counts * counts, len(graphs))
+        out = (rows[:n] @ rows[n:].T).toarray()
     else:
-        lv = np.stack([graphlet3_vector(g) for g in left])
-        rv = np.stack([graphlet3_vector(g) for g in right])
-        out = lv @ rv.T
-        if cfg.normalized:
-            ln = np.sqrt((lv * lv).sum(axis=1))
-            rn = np.sqrt((rv * rv).sum(axis=1))
-            safe_divide(out, np.outer(ln, rn))
+        rows = np.stack([graphlet3_vector(g) for g in graphs])
+        sq = (rows * rows).sum(axis=1)
+        out = rows[:n] @ rows[n:].T
+    if cfg.normalized:
+        norms = np.sqrt(sq)
+        safe_divide(out, np.outer(norms[:n], norms[n:]))
     return out
+
+
+def kernel_eval(cfg: KernelConfig, g1: LabeledGraph, g2: LabeledGraph) -> float:
+    """Kernel value of one pair under cfg, the single entry of
+    kernel_matrix; the normalized form is k12 / sqrt(k11 k22)."""
+    return float(kernel_matrix(cfg, [g1], [g2])[0, 0])
+
+
+def wl_subtree_kernel(g1: LabeledGraph, g2: LabeledGraph,
+                      iterations: int = 3) -> float:
+    """Unnormalized subtree kernel: dot of combined color histograms."""
+    return kernel_eval(KernelConfig(WL_SUBTREE, iterations, False), g1, g2)
 
 
 _KEY_MAX = int(np.iinfo(np.int64).max)
@@ -519,32 +446,14 @@ def refine_union(indptr, indices, labels, sizes, iterations: int) -> WlUnion:
 def wl_indistinguishable(g1: LabeledGraph, g2: LabeledGraph) -> bool:
     """True if color refinement can never separate the two graphs.
 
-    Runs joint refinement until the color partition stabilizes and
-    compares the color histograms. Once the histograms agree at the
-    stable partition they agree at every later round as well.
+    Refines both graphs with one shared color table for n1 + n2 rounds
+    and compares the color histograms of every round. The joint color
+    partition gains a class in every round until it is stable, so it is
+    stable by then, and histograms that agree at the stable partition
+    agree at every later round as well.
     """
-    base = _label_base((g1, g2))
-    c1, c2 = list(g1.labels), list(g2.labels)
-    nxt = base
-    seen_colors = -1
-    while True:
-        if Counter(c1) != Counter(c2):
-            return False
-        distinct = len(set(c1) | set(c2))
-        if distinct == seen_colors:
-            return True
-        seen_colors = distinct
-        table = {}
-        fresh = []
-        for g, cols in ((g1, c1), (g2, c2)):
-            new = []
-            for v in range(g.num_nodes):
-                sig = (cols[v], tuple(sorted(cols[u] for u in g.adj[v])))
-                c = table.get(sig)
-                if c is None:
-                    c = nxt
-                    nxt += 1
-                    table[sig] = c
-                new.append(c)
-            fresh.append(new)
-        c1, c2 = fresh
+    table = WlColorTable(_label_base((g1, g2)),
+                         g1.num_nodes + g2.num_nodes)
+    rounds1, rounds2 = table.refine(g1)[0], table.refine(g2)[0]
+    return all(Counter(c1) == Counter(c2)
+               for c1, c2 in zip(rounds1, rounds2))

@@ -6,6 +6,7 @@ import zipfile
 
 import pytest
 
+from gkconv import experiment
 from gkconv.cli import main
 
 TINY = ["--masks", "2", "--mask-nodes", "3", "--radius", "1",
@@ -215,6 +216,25 @@ def test_grid_command(corpus, tmp_path, capsys):
     board = (out / "leaderboard.csv").read_text().splitlines()
     assert len(board) == 3
     assert "num_masks" in board[0] and "status" in board[0]
+
+
+def test_grid_passes_raw_and_quantizer_k(corpus, tmp_path, monkeypatch):
+    seen, build = [], experiment.build_network
+
+    def spy(*args, **kw):
+        seen.append(kw)
+        return build(*args, **kw)
+    monkeypatch.setattr(experiment, "build_network", spy)
+    code, _ = run(["grid", "--data", str(corpus), "--name", "triangle_cycle",
+                   "--grid-masks", "2", "--grid-nodes", "3",
+                   "--grid-radius", "1", "--grid-layers", "2",
+                   "--raw", "true", "--quantizer-k", "3", "--wl-iters", "1",
+                   "--epochs", "1", "--batch", "4",
+                   "--out", str(tmp_path / "grid")])
+    assert code == 0
+    assert len(seen) == 1
+    assert seen[0]["normalized"] is False and seen[0]["quantizer_k"] == 3
+    assert seen[0]["wl_iterations"] == 1
 
 
 def test_expressiveness_command(capsys):

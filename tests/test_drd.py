@@ -7,9 +7,8 @@ import numpy as np
 import pytest
 
 from gkconv.drd import (DrdError, EditOperation, EditProbabilities,
-                        apply_edit, drd_step, drd_step_batched,
-                        edit_distribution, effective_change,
-                        estimate_subgradient, init_mask_bank,
+                        apply_edit, drd_step_batched, edit_distribution,
+                        effective_change, init_mask_bank,
                         init_structural_mask, pair_index, sample_edit,
                         update_probs)
 from gkconv.graphs import LabelDictionary, LabeledGraph, complete_graph
@@ -21,6 +20,16 @@ from conftest import random_graph, to_nx
 EDGE = "edge"
 LABEL = "label"
 WL = KernelConfig(kind=WL_SUBTREE, wl_iterations=2, normalized=True)
+
+
+def kernel_step(mask, egos, grads, phase, rng):
+    """drd_step_batched with the engine's responses closure rebuilt on
+    kernel_matrix."""
+    def responses(mask_graph):
+        return kernel_matrix(WL, egos, [mask_graph])[:, 0]
+    return drd_step_batched(mask, phase, rng, responses,
+                            responses(mask.graph),
+                            np.asarray(grads, dtype=np.float64))
 
 
 def layer(nodes=5, dict_size=2, num_masks=1):
@@ -182,8 +191,8 @@ def test_unknown_phase_raises():
 def test_drd_step_without_legal_edits_is_stateless_noop():
     mask = fresh_mask(nodes=4, dict_size=1)
     logits = mask.edit_probs.label_logits.copy()
-    out, accepted, est = drd_step(mask, [], WL, LABEL,
-                                  np.random.default_rng(1))
+    out, accepted, est = kernel_step(mask, [], [], LABEL,
+                                     np.random.default_rng(1))
     assert out is mask and not accepted and est == 0.0
     assert np.array_equal(mask.edit_probs.label_logits, logits)
 
@@ -224,7 +233,19 @@ def test_effective_change_ignores_dead_component_edits():
                           edit_probs=EditProbabilities.zeros(5, 1))
     grown = apply_edit(mask, EditOperation.add(3, 4))
     assert not effective_change(mask, grown)
-    assert estimate_subgradient(mask, grown, [], WL) == 0.0
+    # a step that draws this edit scores it 0 without a response column
+    logits = mask.edit_probs.edge_logits
+    logits[:] = -60.0
+    for u, v in ws.edges + ((3, 4),):
+        logits[pair_index(u, v, 5)] = 60.0
+
+    def unseen(mask_graph):
+        raise AssertionError("an ineffective edit needs no response")
+    out, accepted, est = drd_step_batched(
+        mask, EDGE, np.random.default_rng(0), unseen, np.ones(3),
+        np.ones(3))
+    assert est == 0.0 and accepted
+    assert out.workspace.edges == grown.workspace.edges
     # but touching the main component is visible
     shrunk = apply_edit(mask, EditOperation.remove(0, 1))
     assert effective_change(mask, shrunk)
@@ -233,17 +254,22 @@ def test_effective_change_ignores_dead_component_edits():
 def test_estimate_subgradient_matches_manual_sum():
     rng = np.random.default_rng(2)
     mask = fresh_mask(nodes=5, dict_size=2, seed=3)
+    twin = copy.deepcopy(mask)
     op = sample_edit(mask, EDGE, rng)
     after = apply_edit(mask, op)
+    assert effective_change(mask, after)
     egos = [random_graph(rng, n_max=6, dict_size=2) for _ in range(8)]
     grads = rng.standard_normal(8)
-    batch = list(zip(egos, grads))
-    got = estimate_subgradient(mask, after, batch, WL)
     want = sum(g * (kernel_eval(WL, e, after.graph)
                     - kernel_eval(WL, e, mask.graph))
-               for e, g in batch)
+               for e, g in zip(egos, grads))
+    # a generator in the same state draws the same edit
+    out, accepted, got = kernel_step(mask, egos, grads, EDGE,
+                                     np.random.default_rng(2))
+    drawn = after if accepted else mask
+    assert out.workspace.edges == drawn.workspace.edges
     assert abs(got - want) < 1e-12
-    assert estimate_subgradient(mask, after, [], WL) == 0.0
+    assert kernel_step(twin, [], [], EDGE, np.random.default_rng(2))[2] == 0.0
 
 
 def test_update_probs_moves_toward_useful_edits():
@@ -281,9 +307,8 @@ def test_drd_step_accepts_exactly_nonpositive_estimates():
         phase = EDGE if step % 2 == 0 else LABEL
         egos = [random_graph(rng, n_max=6, dict_size=2) for _ in range(4)]
         grads = rng.standard_normal(4)
-        batch = list(zip(egos, grads))
         before = mask
-        mask, accepted, est = drd_step(mask, batch, WL, phase, rng)
+        mask, accepted, est = kernel_step(mask, egos, grads, phase, rng)
         assert accepted == (est <= 0.0) or (not accepted and est > 0.0)
         if accepted:
             kept += 1
@@ -300,36 +325,6 @@ def test_drd_step_accepts_exactly_nonpositive_estimates():
         assert g.num_nodes <= 5
         assert nx.is_connected(to_nx(g)) or g.num_nodes == 1
     assert kept > 0 and changed > 0
-
-
-def test_drd_step_batched_matches_plain_step():
-    rng = np.random.default_rng(6)
-    for trial in range(20):
-        seed = 100 + trial
-        base = fresh_mask(nodes=5, dict_size=2, seed=seed)
-        m1 = copy.deepcopy(base)
-        m2 = copy.deepcopy(base)
-        egos = [random_graph(rng, n_max=6, dict_size=2) for _ in range(6)]
-        grads = rng.standard_normal(6)
-        batch = list(zip(egos, grads))
-        phase = EDGE if trial % 2 == 0 else LABEL
-
-        def responses(mg):
-            return kernel_matrix(WL, egos, [mg])[:, 0]
-
-        out1, acc1, est1 = drd_step(m1, batch, WL, phase,
-                                    np.random.default_rng(seed))
-        out2, acc2, est2 = drd_step_batched(
-            m2, phase, np.random.default_rng(seed), responses,
-            responses(m2.graph), grads)
-        assert acc1 == acc2
-        assert est1 == est2
-        assert out1.workspace.edges == out2.workspace.edges
-        assert out1.workspace.labels == out2.workspace.labels
-        assert np.array_equal(m1.edit_probs.edge_logits,
-                              m2.edit_probs.edge_logits)
-        assert np.array_equal(m1.edit_probs.label_logits,
-                              m2.edit_probs.label_logits)
 
 
 def test_init_mask_bank():

@@ -9,6 +9,7 @@ import gkconv.experiment as ex
 from gkconv.data import generate_triangle_cycle_dataset, split_holdout
 from gkconv.drd import EditProbabilities
 from gkconv.graphs import cycle_graph
+from gkconv.kernels import KernelConfig
 from gkconv.model import StructuralMask
 from gkconv.quantizer import default_k
 from gkconv.rng import stream
@@ -50,8 +51,7 @@ def test_build_network_stacks_junction_dictionaries():
 
 def test_train_config_validation():
     for kw in (dict(epochs=-1), dict(epochs=1001), dict(batch_size=0),
-               dict(jsd_weight=-0.1), dict(patience=0),
-               dict(proposals_per_mask=0)):
+               dict(jsd_weight=-0.1), dict(patience=0)):
         with pytest.raises(ex.ExperimentError):
             ex.TrainConfig(**kw)
 
@@ -164,7 +164,7 @@ def test_grid_search_ranking_and_csv(tmp_path):
     out = tmp_path / "grid.csv"
     res = ex.grid_search(ds, cfg, masks_grid=(2,), nodes_grid=(3,),
                          radius_grid=(1,), layers_grid=(1, 2),
-                         wl_iterations=1, out_csv=out)
+                         kernel=KernelConfig(wl_iterations=1), out_csv=out)
     assert len(res.rows) == 2
     assert res.best == res.rows[0]
     keys = [(-r["val_acc"], r["val_loss"]) for r in res.rows]
@@ -175,7 +175,7 @@ def test_grid_search_ranking_and_csv(tmp_path):
         assert col in header
     sampled = ex.grid_search(ds, cfg, masks_grid=(2,), nodes_grid=(3,),
                              radius_grid=(1,), layers_grid=(1, 2),
-                             wl_iterations=1, sample=1)
+                             kernel=KernelConfig(wl_iterations=1), sample=1)
     assert len(sampled.rows) == 1
 
 
@@ -184,7 +184,7 @@ def test_grid_search_marks_diverged_combos():
     ds, _, cfg, _ = toy_setup(epochs=1, mlp_lr=1e308)
     res = ex.grid_search(ds, cfg, masks_grid=(2,), nodes_grid=(3,),
                          radius_grid=(1,), layers_grid=(1,),
-                         wl_iterations=1)
+                         kernel=KernelConfig(wl_iterations=1))
     assert res.rows[0]["status"] == "diverged"
     assert res.rows[0]["val_loss"] == math.inf
     assert math.isnan(res.rows[0]["test_acc"])

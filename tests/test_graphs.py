@@ -1,16 +1,14 @@
-"""Graph container, ego extraction, components, canonical comparison."""
+"""Graph container, ego extraction, components."""
 
 import networkx as nx
 import numpy as np
 import pytest
 
 from gkconv.graphs import (EgoSubgraph, GraphError, LabelDictionary,
-                           LabeledGraph, UnsupportedSizeError, complete_graph,
-                           connected_components, cycle_graph, disjoint_union,
-                           ego_balls, ego_subgraph, graph_equal_canonical,
-                           induced_subgraph, max_component_nodes,
-                           max_connected_component, path_graph, star_graph,
-                           to_dot)
+                           LabeledGraph, complete_graph, connected_components,
+                           cycle_graph, disjoint_union, ego_balls,
+                           ego_subgraph, induced_subgraph, max_component_nodes,
+                           path_graph, star_graph, to_dot)
 from conftest import nx_isomorphic, random_graph, to_nx
 
 
@@ -173,33 +171,8 @@ def test_induced_subgraph_and_max_component():
     g = disjoint_union(cycle_graph(3), path_graph(2))
     sub = induced_subgraph(g, [0, 1, 2])
     assert sub.num_nodes == 3 and sub.num_edges == 3
-    comp = max_connected_component(g)
+    comp = induced_subgraph(g, max_component_nodes(g))
     assert comp.num_nodes == 3 and comp.num_edges == 3
-
-
-def test_graph_equal_canonical_vs_networkx():
-    rng = np.random.default_rng(17)
-    agree = 0
-    for _ in range(100):
-        g1 = random_graph(rng, n_max=6, dict_size=2)
-        if rng.random() < 0.5:
-            g2 = g1.permuted(rng.permutation(g1.num_nodes).tolist())
-        else:
-            g2 = random_graph(rng, n_max=6, dict_size=2)
-        got = graph_equal_canonical(g1, g2)
-        want = nx_isomorphic(g1, g2)
-        assert got == want
-        agree += got
-    assert 0 < agree < 100  # both branches got exercised
-
-
-def test_graph_equal_canonical_label_sensitivity_and_cap():
-    a = path_graph(3)
-    b = a.with_labels([1, 0, 0])
-    assert not graph_equal_canonical(a, b)
-    assert graph_equal_canonical(a, a.permuted([2, 1, 0]))
-    with pytest.raises(UnsupportedSizeError):
-        graph_equal_canonical(path_graph(9), path_graph(9))
 
 
 def test_builders():

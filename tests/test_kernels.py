@@ -15,8 +15,7 @@ from gkconv.graphs import (LabeledGraph, complete_graph, cycle_graph,
 from gkconv.kernels import (GRAPHLET3, WL_SUBTREE, KernelConfig, KernelError,
                             WlColorTable, _key_span, graphlet3_vector,
                             kernel_eval, kernel_matrix, refine_union,
-                            wl_indistinguishable, wl_refine,
-                            wl_subtree_kernel)
+                            wl_indistinguishable, wl_subtree_kernel)
 from conftest import random_graph
 
 K3 = complete_graph(3)
@@ -73,32 +72,16 @@ def test_wl_kernel_equals_string_oracle():
         assert wl_subtree_kernel(g1, g2, iterations=h) == wl_oracle(g1, g2, h)
 
 
-def test_wl_kernel_shared_table_matches_fresh():
-    rng = np.random.default_rng(43)
-    graphs = [random_graph(rng) for _ in range(12)]
-    table = WlColorTable(3, 2)
-    for g1 in graphs:
-        for g2 in graphs:
-            shared = wl_subtree_kernel(g1, g2, iterations=2, table=table)
-            fresh = wl_subtree_kernel(g1, g2, iterations=2)
-            assert shared == fresh
-
-
-def test_wl_table_iteration_mismatch():
-    with pytest.raises(KernelError):
-        wl_subtree_kernel(K3, P3, iterations=2, table=WlColorTable(1, 3))
-
-
 def test_wl_label_outside_dictionary():
     with pytest.raises(KernelError):
         WlColorTable(1, 1).refine(P3.with_labels([0, 1, 0]))
 
 
 def test_wl_refine_colors():
-    col = wl_refine(P3, 2)
-    assert list(col.colors[0]) == list(P3.labels)
+    colors = WlColorTable(1, 2).refine(P3)[0]
+    assert list(colors[0]) == list(P3.labels)
     # endpoint vs middle separate after one round
-    final = col.colors[-1]
+    final = colors[-1]
     assert final[0] == final[2] != final[1]
 
 
@@ -193,19 +176,6 @@ def test_kernel_matrix_matches_pairwise_eval():
                 assert mat[i, j] == kernel_eval(kc, g1, g2)
 
 
-def test_kernel_matrix_shared_table_and_caching():
-    rng = np.random.default_rng(50)
-    left = [random_graph(rng) for _ in range(5)]
-    right = [random_graph(rng) for _ in range(5)]
-    kc = KernelConfig(kind=WL_SUBTREE, wl_iterations=2, normalized=True)
-    plain = kernel_matrix(kc, left, right)
-    table = WlColorTable(3, 2)
-    first = kernel_matrix(kc, left, right, table=table)
-    again = kernel_matrix(kc, left, right, table=table)
-    assert np.array_equal(plain, first)
-    assert np.array_equal(first, again)
-
-
 def test_wl_indistinguishable_cases():
     two_tri = disjoint_union(cycle_graph(3), cycle_graph(3))
     assert wl_indistinguishable(two_tri, cycle_graph(6))
@@ -217,11 +187,50 @@ def test_wl_indistinguishable_cases():
     assert wl_indistinguishable(g, g.permuted(perm))
 
 
+def test_wl_indistinguishable_matches_string_oracle():
+    """Against the string-label histograms of rounds 0..n1 + n2, by
+    which the joint color partition of the two graphs is stable."""
+    def oracle(g1, g2):
+        h = g1.num_nodes + g2.num_nodes
+        return wl_string_histograms(g1, h) == wl_string_histograms(g2, h)
+
+    rng = np.random.default_rng(54)
+    empty = LabeledGraph(0, [], [])
+    two_tri = disjoint_union(cycle_graph(3), cycle_graph(3))
+    # a path and a triangle plus an edge share their degrees, so only the
+    # second round separates them
+    tri_edge = disjoint_union(cycle_graph(3), path_graph(2))
+    pairs = [(empty, empty), (empty, LabeledGraph(1, [], [0])),
+             (two_tri, cycle_graph(6)), (cycle_graph(6), two_tri),
+             (two_tri, cycle_graph(6, [1, 0, 0, 0, 0, 0])),
+             (path_graph(5), tri_edge)]
+    for i in range(600):
+        if i % 3 == 0:  # permuted copies
+            g1 = random_graph(rng, n_max=5, dict_size=int(rng.integers(1, 3)),
+                              p=float(rng.uniform(0.2, 0.7)))
+            g2 = g1.permuted(rng.permutation(g1.num_nodes).tolist())
+        elif i % 3 == 1:  # any sizes, the empty graph included
+            g1, g2 = (random_graph(rng, n_max=4, n_min=0,
+                                   dict_size=int(rng.integers(1, 3)),
+                                   p=float(rng.uniform(0.2, 0.7)))
+                      for _ in range(2))
+        else:  # unlabeled, where refinement is most often fooled
+            g1, g2 = (random_graph(rng, n_max=4, n_min=2, dict_size=1, p=0.5)
+                      for _ in range(2))
+        pairs.append((g1, g2))
+    got = [wl_indistinguishable(g1, g2) for g1, g2 in pairs]
+    assert got == [oracle(g1, g2) for g1, g2 in pairs]
+    assert got[:6] == [True, False, True, True, False, False]
+    assert 0 < sum(got[6:]) < 600
+
+
 def test_kernel_config_validation():
     with pytest.raises(KernelError):
         KernelConfig(kind="unknown", wl_iterations=1, normalized=True)
     with pytest.raises(KernelError):
         KernelConfig(kind=WL_SUBTREE, wl_iterations=0, normalized=True)
+    with pytest.raises(KernelError):
+        wl_subtree_kernel(K3, P3, iterations=0)
 
 
 def _union_of(graphs):
