@@ -19,7 +19,7 @@ from .data import GraphDataset, Split, split_holdout, split_kfold, take
 from .graphs import (LabeledGraph, LabelDictionary, complete_graph,
                      cycle_graph, disjoint_union, ego_subgraph, star_graph,
                      to_dot)
-from .kernels import (WL_SUBTREE, KernelConfig, kernel_eval, kernel_matrix,
+from .kernels import (WL_SUBTREE, KernelConfig, kernel_matrix,
                       wl_indistinguishable)
 from .model import (ForwardEngine, LayerConfig, ModelParams, NetworkConfig,
                     random_connected_graph)
@@ -508,10 +508,9 @@ def mask_motif_similarity(params: ModelParams, motif: LabeledGraph,
     if kernel is None:
         kernel = KernelConfig(kind=WL_SUBTREE, wl_iterations=3,
                               normalized=True)
-    mask_sims = [kernel_eval(kernel, m.graph, motif)
-                 for m in params.masks[layer]]
-    rand_sims = []
-    for _ in range(n_random):
-        g = random_connected_graph(motif.num_nodes, 1, rng)
-        rand_sims.append(kernel_eval(kernel, g, motif))
+    mask_sims = kernel_matrix(kernel, [m.graph for m in params.masks[layer]],
+                              [motif])
+    rand_sims = kernel_matrix(
+        kernel, [random_connected_graph(motif.num_nodes, 1, rng)
+                 for _ in range(n_random)], [motif])
     return float(np.median(mask_sims)), float(np.median(rand_sims))

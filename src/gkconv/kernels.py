@@ -200,13 +200,17 @@ def kernel_matrix(cfg: KernelConfig, left, right) -> np.ndarray:
     wl_subtree its combined color histogram under one WlColorTable that
     refines them all, as a CSR row whose columns are the color ids; for
     graphlet3 its count vector. The kernel is the left rows times the
-    right rows, normalized by the rows' Euclidean norms.
+    right rows, normalized by the rows' Euclidean norms. When right is
+    left, the Gram matrix, each graph gets one row that serves both sides.
     """
-    left, right = list(left), list(right)
+    gram = right is left
+    left = list(left)
+    right = left if gram else list(right)
     n = len(left)
     if not left or not right:
         return np.zeros((n, len(right)), dtype=np.float64)
-    graphs = left + right
+    graphs = left if gram else left + right
+    k = 0 if gram else n  # the first row of right
     if cfg.kind == WL_SUBTREE:
         table = WlColorTable(_label_base(graphs), cfg.wl_iterations)
         hists = [table.histogram(g) for g in graphs]
@@ -219,14 +223,14 @@ def kernel_matrix(cfg: KernelConfig, left, right) -> np.ndarray:
             shape=(len(graphs), table._next))
         sq = np.bincount(np.repeat(np.arange(len(graphs)), sizes),
                          counts * counts, len(graphs))
-        out = (rows[:n] @ rows[n:].T).toarray()
+        out = (rows[:n] @ rows[k:].T).toarray()
     else:
         rows = np.stack([graphlet3_vector(g) for g in graphs])
         sq = (rows * rows).sum(axis=1)
-        out = rows[:n] @ rows[n:].T
+        out = rows[:n] @ rows[k:].T
     if cfg.normalized:
         norms = np.sqrt(sq)
-        safe_divide(out, np.outer(norms[:n], norms[n:]))
+        safe_divide(out, np.outer(norms[:n], norms[k:]))
     return out
 
 

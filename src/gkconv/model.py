@@ -19,7 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .graphs import (EgoBalls, GraphError, LabeledGraph, LabelDictionary,
-                     ego_balls, ego_subgraph, induced_subgraph,
+                     _ranges, ego_balls, ego_subgraph, induced_subgraph,
                      max_component_nodes)
 from .kernels import (GRAPHLET3, WL_SUBTREE, KernelConfig, WlColorTable,
                       csc_dot, graphlet3_union, graphlet3_vector,
@@ -250,79 +250,134 @@ class BatchTrace:
     layers: list    # LayerBatch per layer
 
 
-class _WlRowCache:
-    """Layer-0 subtree-kernel rows, one sparse block per input graph.
+class _WlRowStore:
+    """Layer-0 subtree-kernel rows of every graph the engine has seen, in
+    one append-only CSR matrix, plus the current masks' responses at those
+    rows.
 
     Layer-0 labels never change, so a graph's ego balls are refined once:
     the first batch that brings the graph refines them together with the
-    balls of every other new graph of the batch (``refine_union``). The
-    union's classes are mapped to the colors of one persistent
-    WlColorTable, which also refines the mask graphs, and a color id is
-    its column. Stored blocks stay valid as new colors extend the table,
-    since existing ids never move.
+    balls of every other new graph of the batch (``refine_union``), maps
+    the union's classes to the colors of one persistent WlColorTable,
+    which also refines the mask graphs, and appends one row per ball; a
+    color id is its column. ``indptr``/``indices``/``counts`` are the rows,
+    ``norms`` their histogram norms and ``rows`` each graph's row range.
+    Stored rows stay valid as new colors extend the table, since existing
+    ids never move.
+
+    ``columns`` maps each current mask graph to its histogram (colors,
+    counts, norm), its response at every stored row and which of those
+    responses are known. A batch fills in the responses its rows lack from
+    one CSC matrix of the batch's rows and gathers the rest, so a response
+    is computed once per mask graph and row while the mask stays in the
+    bank, and a warm batch under unchanged masks is a row gather. DRD
+    candidates are scored at the batch's rows the same way and kept until
+    the next batch, where an accepted candidate's entry becomes its bank
+    entry.
     """
 
-    def __init__(self, table: WlColorTable):
+    def __init__(self, table: WlColorTable, normalized: bool):
         self.table = table
-        self._blocks = {}  # graph -> (row pointers, columns, counts, norms)
-        self._bank = {}    # current mask graph -> (columns, counts, norm)
+        self.normalized = normalized
+        # colors and counts as int32 halve the rows: a color id is below
+        # the table's entry count and a count below a ball's size, and
+        # int32 counts times float64 weights are exact
+        self.indptr = np.zeros(1, dtype=np.int64)
+        self.indices = np.empty(0, dtype=np.int32)
+        self.counts = np.empty(0, dtype=np.int32)
+        self.norms = np.empty(0)
+        self.rows = {}      # graph -> (first row, end row)
+        self.columns = {}   # current mask graph -> (colors, counts, norm,
+        #                     responses, known) over all stored rows
+        self._scored = {}   # candidates scored since the last batch, same
+
+    def _entry(self, g: LabeledGraph):
+        """Mask graph g's histogram and norm, no response known yet."""
+        hist = self.table.histogram(g)
+        counts = np.fromiter(hist.values(), dtype=np.float64,
+                             count=len(hist))
+        n = len(self.norms)
+        return (np.fromiter(hist.keys(), dtype=np.int64, count=len(hist)),
+                counts, float(np.sqrt(counts @ counts)), np.zeros(n),
+                np.zeros(n, dtype=bool))
+
+    def _csc(self, rows: np.ndarray):
+        """The given stored rows, in that order, as CSC arrays."""
+        lo = self.indptr[rows]
+        span = self.indptr[rows + 1] - lo
+        at = _ranges(lo, span)
+        indices = self.indices[at]
+        mat = sp.csr_matrix(
+            (self.counts[at], indices, np.concatenate(([0], np.cumsum(span)))),
+            shape=(len(rows), int(indices.max(initial=0)) + 1)).tocsc()
+        return mat.indptr, mat.indices, mat.data
+
+    def batch(self, graphs, mask_graphs, balls_of):
+        """Make mask_graphs the bank and store the rows of the graphs not
+        yet stored (balls_of maps them to the union of their balls).
+        Returns the batch's responses closure: a mask graph's responses at
+        the rows of graphs, in batch order.
+
+        The bank keeps the entries of the current mask graphs only: a mask
+        kept since the last batch, or an accepted candidate scored since,
+        keeps its known responses, and a replaced one is released."""
+        kept, scored = self.columns, self._scored
+        self.columns = {g: kept[g] if g in kept else
+                        scored[g] if g in scored else self._entry(g)
+                        for g in mask_graphs}
+        self._scored = {}
+        new = [g for g in dict.fromkeys(graphs) if g not in self.rows]
+        if new:
+            self._add(new, *balls_of(new))
+        first, end = np.array([self.rows[g] for g in graphs],
+                              dtype=np.int64).reshape(-1, 2).T
+        rows = _ranges(first, end - first)
+        csc = []  # the batch's rows, built when a response is missing
+
+        def response(g: LabeledGraph) -> np.ndarray:
+            entry = self.columns.get(g) or self._scored.get(g)
+            if entry is None:
+                entry = self._scored[g] = self._entry(g)
+            colors, counts, norm, col, known = entry
+            if not known[rows].all():
+                if not csc:
+                    csc.append(self._csc(rows))
+                got = csc_dot(*csc[0], colors, counts, len(rows))
+                if self.normalized:
+                    safe_divide(got, self.norms[rows] * norm)
+                col[rows] = got
+                known[rows] = True
+            return col[rows]
+
+        return response
 
     def _add(self, graphs, indptr, nbrs, origin, sizes):
         """Refine the balls of graphs (their union, as ``_concat_balls``
-        gives it) and store each graph's block of ego rows."""
+        gives it), append one row per ball and give every bank entry an
+        unknown response there."""
         labels = np.fromiter(chain.from_iterable(g.labels for g in graphs),
                              dtype=np.int64, count=len(sizes))
         union = refine_union(indptr, nbrs, labels[origin], sizes,
                              self.table.iterations)
         color = self.table.union_colors(union, indptr, nbrs)
         order = np.argsort(union.part, kind="stable")
-        cols = np.repeat(color, np.diff(union.col_ptr))[order]
-        counts = union.count[order]
         row_ptr = np.searchsorted(union.part[order],
                                   np.arange(len(sizes) + 1))
-        first = 0
-        for g in graphs:
-            last = first + g.num_nodes
-            lo, hi = row_ptr[first], row_ptr[last]
-            self._blocks[g] = (row_ptr[first:last + 1] - lo, cols[lo:hi],
-                               counts[lo:hi], union.norms[first:last])
-            first = last
-
-    def matrix(self, graphs, balls_of):
-        """CSC matrix of the graphs' ego rows plus their norms; balls_of maps
-        the graphs without a stored block to the union of their balls."""
-        new = [g for g in dict.fromkeys(graphs) if g not in self._blocks]
-        if new:
-            self._add(new, *balls_of(new))
-        blocks = [self._blocks[g] for g in graphs]
-        nnz = np.cumsum([0] + [len(b[1]) for b in blocks])
-        indptr = np.concatenate(
-            [[0]] + [b[0][1:] + o for b, o in zip(blocks, nnz.tolist())])
-        indices = np.concatenate([b[1] for b in blocks])
-        mat = sp.csr_matrix(
-            (np.concatenate([b[2] for b in blocks]), indices, indptr),
-            shape=(len(indptr) - 1, int(indices.max(initial=0)) + 1))
-        return mat.tocsc(), np.concatenate([b[3] for b in blocks])
-
-    def _counts(self, g: LabeledGraph):
-        hist = self.table.histogram(g)
-        counts = np.fromiter(hist.values(), dtype=np.float64,
-                             count=len(hist))
-        return (np.fromiter(hist.keys(), dtype=np.int64, count=len(hist)),
-                counts, float(np.sqrt(counts @ counts)))
-
-    def set_bank(self, mask_graphs):
-        """Keep the histograms of the current mask graphs only: a mask
-        unchanged since the last batch is not refined again, and a
-        replaced one is released."""
-        bank = self._bank
-        self._bank = {g: bank[g] if g in bank else self._counts(g)
-                      for g in mask_graphs}
-
-    def mask_counts(self, g: LabeledGraph):
-        """g's colors and their counts, plus g's histogram norm."""
-        out = self._bank.get(g)
-        return self._counts(g) if out is None else out
+        first = len(self.norms)
+        ends = np.cumsum([first] + [g.num_nodes for g in graphs]).tolist()
+        self.rows.update(zip(graphs, zip(ends, ends[1:])))
+        self.indptr = np.concatenate((self.indptr,
+                                      row_ptr[1:] + self.indptr[-1]))
+        self.indices = np.concatenate((self.indices, np.repeat(
+            color, np.diff(union.col_ptr))[order].astype(np.int32)))
+        self.counts = np.concatenate(
+            (self.counts, union.count[order].astype(np.int32)))
+        self.norms = np.concatenate((self.norms, union.norms))
+        grow = len(sizes)
+        self.columns = {
+            g: (colors, counts, norm, np.concatenate((col, np.zeros(grow))),
+                np.concatenate((known, np.zeros(grow, dtype=bool))))
+            for g, (colors, counts, norm, col, known) in self.columns.items()}
 
 
 def _concat_balls(parts):
@@ -346,21 +401,24 @@ class ForwardEngine:
     CSR union (``graphs.ego_balls``, run once over all the graphs a batch
     brings for the first time), and relabels them per batch; it keeps
     them only at radii that a WL layer above the first reads on every
-    batch. First-layer inputs keep their labels for the whole run: the
-    balls of a batch's new graphs are refined in one array pass
-    (``kernels.refine_union``), their classes are mapped once to the
-    colors of a persistent color table, and each graph keeps one sparse
-    block of ego rows, so a batch matrix stacks one block per graph.
-    Deeper layers get their labels from the junctions, which change them
-    on every batch: every batch refines the union of its graphs' balls,
-    and mask graphs are looked up in that batch's compression tables.
-    Mask columns gather only the mask's colors from the batch's CSC
-    matrix. Graphlet counts ignore labels entirely, so the balls of a
-    batch's new graphs are counted in one array pass
-    (``kernels.graphlet3_union``) and each graph keeps one (n, 2) block of
-    counts per radius, which serves every depth. Kernel values are
-    bit-for-bit identical to the plain per-graph path: all histogram dot
-    products are sums of small integers, exact in float64 in any order.
+    batch. First-layer inputs keep their labels for the whole run, and
+    so do the masks between edits: a ``_WlRowStore`` appends the ego rows
+    of each batch's new graphs to one matrix, refined in one array pass
+    (``kernels.refine_union``), and keeps every current mask's responses
+    at the stored rows, each computed once while the mask is unchanged,
+    so a warm layer-0 batch is a row gather. Deeper
+    layers get their labels from the junctions, which change them on
+    every batch: every batch refines the union of its graphs' balls, and
+    mask graphs are looked up in that batch's compression tables; mask
+    columns gather only the mask's colors from the union's CSC counts.
+    Graphlet counts ignore labels entirely, so the balls of a batch's new
+    graphs are counted in one array pass (``kernels.graphlet3_union``)
+    and each graph keeps one (n, 2) block of counts per radius, which
+    serves every depth. Above layer 0 and for graphlet layers the engine
+    keeps the current masks' norms or counts, so a mask is refined or
+    counted once while it stays in its bank. Kernel values are bit-for-bit
+    identical to the plain per-graph path: all histogram dot products are
+    sums of small integers, exact in float64 in any order.
     """
 
     def __init__(self, net: NetworkConfig):
@@ -368,8 +426,18 @@ class ForwardEngine:
         self._balls = {}     # (base graph, radius) -> EgoBalls
         self._deep_wl_radii = {layer.radius for layer in net.layers[1:]
                                if layer.kernel.kind == WL_SUBTREE}
-        self._l0_cache = None  # _WlRowCache when layer 0 uses wl_subtree
+        self._l0_store = None  # _WlRowStore when layer 0 uses wl_subtree
         self._g3_rows = {}   # (base graph, radius) -> (n, 2) graphlet counts
+        self._banks = {}     # layer above 0 or graphlet layer ->
+        #                      {current mask graph: its norm or counts}
+
+    def _bank(self, l: int, mask_graphs, make):
+        """g -> make(g), where make(g) is kept from batch to batch for each
+        of layer l's current mask graphs and for nothing else."""
+        old = self._banks.get(l, {})
+        bank = self._banks[l] = {g: old[g] if g in old else make(g)
+                                 for g in mask_graphs}
+        return lambda g: bank[g] if g in bank else make(g)
 
     def _ego_balls(self, graphs, radius: int):
         """The balls of every node of graphs as one union, in
@@ -400,34 +468,20 @@ class ForwardEngine:
                     sizes=union.sizes[first[i]:first[i + 1]])
         return _concat_balls([kept[(g, radius)] for g in graphs])
 
-    def _layer0_cache(self, layer: LayerConfig) -> "_WlRowCache":
-        if self._l0_cache is None:
-            table = WlColorTable(layer.input_dictionary.size,
-                                 layer.kernel.wl_iterations)
-            self._l0_cache = _WlRowCache(table)
-        return self._l0_cache
-
     def _wl_first_layer(self, layer: LayerConfig, graphs, mask_graphs):
-        """Responses via the cached layer-0 rows; returns (z, responses
+        """Responses gathered from the layer-0 store; returns (z, responses
         closure)."""
-        cache = self._layer0_cache(layer)
-        mat, ego_norms = cache.matrix(
-            graphs, lambda new: self._ego_balls(new, layer.radius))
-        cache.set_bank(mask_graphs)
-        normalized = layer.kernel.normalized
-
-        def column(mask_graph):
-            cols, counts, mnorm = cache.mask_counts(mask_graph)
-            col = csc_dot(mat.indptr, mat.indices, mat.data, cols, counts,
-                          mat.shape[0])
-            if normalized:
-                safe_divide(col, ego_norms * mnorm)
-            return col
-
+        if self._l0_store is None:
+            self._l0_store = _WlRowStore(
+                WlColorTable(layer.input_dictionary.size,
+                             layer.kernel.wl_iterations),
+                layer.kernel.normalized)
+        column = self._l0_store.batch(
+            graphs, mask_graphs, lambda new: self._ego_balls(new, layer.radius))
         z = np.column_stack([column(g) for g in mask_graphs])
         return z, column
 
-    def _wl_deep_layer(self, layer: LayerConfig, graphs, labels,
+    def _wl_deep_layer(self, l: int, layer: LayerConfig, graphs, labels,
                        mask_graphs):
         """Responses of a layer whose labels change per batch: one
         refinement of the union of the batch's ego balls; labels is the
@@ -435,17 +489,19 @@ class ForwardEngine:
         indptr, nbrs, origin, sizes = self._ego_balls(graphs, layer.radius)
         union = refine_union(indptr, nbrs, labels[origin], sizes,
                              layer.kernel.wl_iterations)
-        num_labels = layer.input_dictionary.size
-        iterations = layer.kernel.wl_iterations
         normalized = layer.kernel.normalized
+
+        def norm(g):
+            hist = WlColorTable(layer.input_dictionary.size,
+                                layer.kernel.wl_iterations).histogram(g)
+            return float(np.sqrt(sum(c * c for c in hist.values())))
+
+        mask_norm = self._bank(l, mask_graphs, norm) if normalized else None
 
         def column(mask_graph):
             col = union.dot(mask_graph)
             if normalized:
-                hist = WlColorTable(num_labels, iterations).histogram(
-                    mask_graph)
-                mnorm = float(np.sqrt(sum(c * c for c in hist.values())))
-                safe_divide(col, union.norms * mnorm)
+                safe_divide(col, union.norms * mask_norm(mask_graph))
             return col
 
         z = np.column_stack([column(g) for g in mask_graphs])
@@ -465,16 +521,23 @@ class ForwardEngine:
                 rows[(g, radius)] = counts[a:b]
         return np.concatenate([rows[(g, radius)] for g in graphs])
 
-    def _graphlet_layer(self, layer: LayerConfig, graphs, mask_graphs):
+    def _graphlet_layer(self, l: int, layer: LayerConfig, graphs,
+                        mask_graphs):
         lv = self._graphlet_rows(graphs, layer.radius)
         normalized = layer.kernel.normalized
         ln = np.sqrt((lv * lv).sum(axis=1))
 
+        def counts(g):
+            rv = graphlet3_vector(g)
+            return rv, float(np.sqrt(rv @ rv))
+
+        mask_counts = self._bank(l, mask_graphs, counts)
+
         def column(mask_graph):
-            rv = graphlet3_vector(mask_graph)
+            rv, rnorm = mask_counts(mask_graph)
             col = lv @ rv
             if normalized:
-                safe_divide(col, ln * float(np.sqrt(rv @ rv)))
+                safe_divide(col, ln * rnorm)
             return col
 
         z = np.column_stack([column(g) for g in mask_graphs])
@@ -503,14 +566,14 @@ class ForwardEngine:
             _check_layer_input(layer, labels_flat, params.masks[l])
             mask_graphs = [mk.graph for mk in params.masks[l]]
             if layer.kernel.kind == GRAPHLET3:
-                z_flat, responses = self._graphlet_layer(layer, graphs,
+                z_flat, responses = self._graphlet_layer(l, layer, graphs,
                                                          mask_graphs)
             elif l == 0:
                 z_flat, responses = self._wl_first_layer(layer, graphs,
                                                          mask_graphs)
             else:
                 z_flat, responses = self._wl_deep_layer(
-                    layer, graphs, labels_flat, mask_graphs)
+                    l, layer, graphs, labels_flat, mask_graphs)
             for (zl, zi) in zero_cols:
                 if zl == l:
                     z_flat[:, zi] = 0.0

@@ -9,8 +9,8 @@ import gkconv.experiment as ex
 from gkconv.data import generate_triangle_cycle_dataset, split_holdout
 from gkconv.drd import EditProbabilities
 from gkconv.graphs import cycle_graph
-from gkconv.kernels import KernelConfig
-from gkconv.model import StructuralMask
+from gkconv.kernels import GRAPHLET3, KernelConfig, kernel_eval
+from gkconv.model import StructuralMask, random_connected_graph
 from gkconv.quantizer import default_k
 from gkconv.rng import stream
 
@@ -240,3 +240,30 @@ def test_mask_motif_similarity_separates_planted_bank():
                                          n_random=50)
     assert got == pytest.approx(1.0, abs=1e-12)
     assert 0.0 < rand < 1.0
+
+
+def per_pair_motif_similarity(params, motif, rng, n_random, kernel):
+    """mask_motif_similarity as one kernel_eval per (graph, motif) pair."""
+    mask_sims = [kernel_eval(kernel, m.graph, motif)
+                 for m in params.masks[0]]
+    rand_sims = []
+    for _ in range(n_random):
+        g = random_connected_graph(motif.num_nodes, 1, rng)
+        rand_sims.append(kernel_eval(kernel, g, motif))
+    return float(np.median(mask_sims)), float(np.median(rand_sims))
+
+
+@pytest.mark.parametrize("kernel", [
+    KernelConfig(wl_iterations=3, normalized=True),
+    KernelConfig(wl_iterations=2, normalized=False),
+    KernelConfig(kind=GRAPHLET3, normalized=True)])
+def test_mask_motif_similarity_matches_per_pair_loop(kernel):
+    net = ex.build_network(1, num_masks=5, mask_nodes=6)
+    params = ex.init_params(net, 2, ex.TrainConfig(seed=3))
+    for motif in (cycle_graph(6), cycle_graph(3)):
+        rng_a, rng_b = np.random.default_rng(4), np.random.default_rng(4)
+        got = ex.mask_motif_similarity(params, motif, rng_a, n_random=51,
+                                       kernel=kernel)
+        want = per_pair_motif_similarity(params, motif, rng_b, 51, kernel)
+        assert got == want
+        assert rng_a.random() == rng_b.random()  # same draws, same order

@@ -163,6 +163,32 @@ def test_gram_matrix_positive_semidefinite(kind):
         assert eigs.min() >= -1e-8
 
 
+@pytest.mark.parametrize("kind", [WL_SUBTREE, GRAPHLET3])
+def test_gram_matrix_builds_each_row_once(kind, monkeypatch):
+    # right is left: one row per graph serves both sides, with the values
+    # of the two-sided product bitwise
+    rng = np.random.default_rng(50)
+    graphs = [random_graph(rng, n_max=9, dict_size=3) for _ in range(12)]
+    graphs += [LabeledGraph(0, [], []), LabeledGraph(1, [], [2]), K3]
+    refined = []
+    real_refine = WlColorTable.refine
+
+    def count_refine(table, g):
+        refined.append(g)
+        return real_refine(table, g)
+
+    monkeypatch.setattr(WlColorTable, "refine", count_refine)
+    for normalized in (False, True):
+        kc = KernelConfig(kind=kind, wl_iterations=2, normalized=normalized)
+        del refined[:]
+        gram = kernel_matrix(kc, graphs, graphs)
+        assert len(refined) == (len(graphs) if kind == WL_SUBTREE else 0)
+        want = kernel_matrix(kc, graphs, list(graphs))
+        assert gram.shape == (len(graphs), len(graphs))
+        assert np.array_equal(gram, want)
+        assert kernel_matrix(kc, [], []).shape == (0, 0)
+
+
 def test_kernel_matrix_matches_pairwise_eval():
     rng = np.random.default_rng(49)
     left = [random_graph(rng) for _ in range(6)]

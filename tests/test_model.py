@@ -8,8 +8,10 @@ import networkx as nx
 import numpy as np
 import pytest
 
+import scipy.sparse._csr
+
 import gkconv.experiment as ex
-from gkconv import model
+from gkconv import kernels, model
 from gkconv.data import generate_triangle_cycle_dataset, split_holdout
 from gkconv.drd import EditProbabilities, init_mask_bank
 from gkconv.graphs import (LabelDictionary, LabeledGraph, complete_graph,
@@ -224,7 +226,7 @@ def test_engine_keeps_only_current_mask_histograms():
     old = params.masks[0][1]
     params.masks[0][1] = old.replaced(random_connected_graph(4, 2, rng))
     second = engine.forward_graphs(params, graphs)
-    bank = engine._l0_cache._bank
+    bank = engine._l0_store.columns
     assert set(map(id, bank)) == {id(mk.graph) for mk in params.masks[0]}
     assert np.array_equal(first.features[0][:, 0], second.features[0][:, 0])
 
@@ -335,6 +337,7 @@ def test_ego_subgraph_engine_consistency():
 # -- layer 0: one array refinement per batch of new graphs -------------------
 
 WL3 = KernelConfig(kind=WL_SUBTREE, wl_iterations=3, normalized=True)
+WL3_RAW = KernelConfig(kind=WL_SUBTREE, wl_iterations=3, normalized=False)
 
 
 def fixed_mask(g):
@@ -358,8 +361,10 @@ def layer0_net_and_masks():
 
 
 def block_colors(engine, graphs):
-    blocks = engine._l0_cache._blocks
-    return set(np.concatenate([blocks[g][1] for g in graphs]).tolist())
+    store = engine._l0_store
+    return set(np.concatenate([
+        store.indices[store.indptr[a]:store.indptr[b]]
+        for a, b in map(store.rows.get, graphs)]).tolist())
 
 
 def test_layer0_rows_stay_valid_when_a_later_batch_adds_colors():
@@ -377,7 +382,7 @@ def test_layer0_rows_stay_valid_when_a_later_batch_adds_colors():
     before = engine.forward_graphs(params, first).features
     mask_colors = set()
     for mk in params.masks[0]:
-        mask_colors |= set(engine._l0_cache.mask_counts(mk.graph)[0].tolist())
+        mask_colors |= set(engine._l0_store.columns[mk.graph][0].tolist())
     seen = block_colors(engine, first)
     trace = engine.forward_graphs(params, second, want_trace=True)
     fresh = block_colors(engine, second) - seen
@@ -430,10 +435,116 @@ def test_layer0_refines_each_graph_once(monkeypatch):
     assert len(table_refines) == len(params.masks[0])
 
 
+# -- layer 0: mask columns over the stored rows ----------------------------
+
+def assert_layer0_batch_exact(engine, net, params, graphs, probes,
+                              zero_cols=frozenset()):
+    """One traced batch: features equal the per-graph reference bitwise
+    (zero_cols blanked), and the responses closure equals kernel_matrix
+    over the batch's egos for the masks and every probe."""
+    trace = engine.forward_graphs(params, graphs, zero_cols=zero_cols,
+                                  want_trace=True)
+    for g, feat in zip(graphs, trace.features):
+        if g.num_nodes == 0:
+            assert feat.shape == (0, net.feature_dim)
+            continue
+        want = network_forward(net, params, g)
+        for _, i in zero_cols:
+            want[:, i] = 0.0
+        assert np.array_equal(feat, want)
+    lt = trace.layers[0]
+    egos = batch_egos(net, params, graphs, trace, 0)
+    kernel = net.layers[0].kernel
+    for probe in probes + [mk.graph for mk in params.masks[0]]:
+        want = kernel_matrix(kernel, egos, [probe])[:, 0]
+        assert np.array_equal(lt.responses(probe), want)
+    return trace
+
+
+@pytest.mark.parametrize("kernel", [WL3, WL3_RAW])
+def test_layer0_columns_follow_batches_and_mask_edits(kernel):
+    rng = np.random.default_rng(22)
+    net = NetworkConfig(layers=(layer(num_masks=3, nodes=4, radius=2,
+                                      kernel=kernel, dict_size=3),),
+                        quantizer_k=())
+    params = make_params(net, rng)
+    pool = [random_graph(rng, n_max=8, dict_size=3) for _ in range(9)]
+    pool += [LabeledGraph(1, [], [2]), paw([1, 1, 1, 0]),
+             LabeledGraph(0, [], [])]
+    candidate = fixed_mask(cycle_graph(4, [1, 2, 1, 0]))
+    probes = [paw([1, 1, 1, 0]), LabeledGraph(1, [], [2]),
+              star_graph(7, [1] * 8), candidate.graph]
+    engine = ForwardEngine(net)
+    # new graphs and an empty one, every stored row in order, a column
+    # blanked: the blanking must not reach the kept columns
+    assert_layer0_batch_exact(engine, net, params, pool[:4] + pool[-1:],
+                              probes, zero_cols={(0, 1)})
+    store = engine._l0_store
+    # stored and new graphs together, a repeat inside the batch
+    assert_layer0_batch_exact(engine, net, params,
+                              pool[6:9] + pool[:3] + pool[1:2], probes)
+    # a mask replaced between batches, more new graphs among stored ones
+    params.masks[0][1] = params.masks[0][1].replaced(
+        random_connected_graph(4, 3, rng))
+    assert_layer0_batch_exact(engine, net, params,
+                              pool[9:11] + pool[3:7] + pool[3:4], probes)
+    # a mask replaced by a candidate the last batch scored, then only
+    # stored graphs: the blanked column was never written into the store
+    params.masks[0][2] = candidate
+    assert_layer0_batch_exact(engine, net, params, pool[::-1], probes)
+    assert all(len(entry[3]) == len(store.norms)
+               for entry in store.columns.values())
+    assert sorted(store.rows.values()) == sorted(
+        zip(np.cumsum([0] + [g.num_nodes for g in store.rows])[:-1],
+            np.cumsum([g.num_nodes for g in store.rows])))
+
+
+def test_layer0_warm_batch_is_a_row_gather(monkeypatch):
+    # stored graphs under unchanged masks: no kernel product and no CSC
+    # conversion, only gathers from the kept columns
+    rng = np.random.default_rng(23)
+    net, params = layer0_net_and_masks()
+    graphs = [random_graph(rng, n_max=8, dict_size=3) for _ in range(6)]
+    engine = ForwardEngine(net)
+    cold = engine.forward_graphs(params, graphs)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("warm layer-0 batch recomputed a response")
+
+    monkeypatch.setattr(kernels, "csc_dot", forbidden)
+    monkeypatch.setattr(model, "csc_dot", forbidden)
+    monkeypatch.setattr(scipy.sparse._csr, "csr_tocsc", forbidden)
+    warm = engine.forward_graphs(params, graphs[3:] + graphs[:2])
+    for a, b in zip(cold.features[3:] + cold.features[:2], warm.features):
+        assert np.array_equal(a, b)
+
+
+def test_layer0_store_keeps_only_the_current_bank():
+    rng = np.random.default_rng(24)
+    net, params = layer0_net_and_masks()
+    graphs = [random_graph(rng, n_max=8, dict_size=3) for _ in range(5)]
+    engine = ForwardEngine(net)
+    trace = engine.forward_graphs(params, graphs, want_trace=True)
+    store = engine._l0_store
+    assert list(store.columns) == [mk.graph for mk in params.masks[0]]
+    candidates = [fixed_mask(paw([1, 1, 1, 1])),
+                  fixed_mask(cycle_graph(4, [2, 2, 1, 1]))]
+    scored = [trace.layers[0].responses(c.graph) for c in candidates]
+    # the first candidate is accepted: its column is the one it was scored
+    # with, and the replaced mask's column is released
+    old = params.masks[0][0].graph
+    params.masks[0][0] = candidates[0]
+    kept = store._scored[candidates[0].graph][3]
+    again = engine.forward_graphs(params, graphs, want_trace=True)
+    assert list(store.columns) == [mk.graph for mk in params.masks[0]]
+    assert store.columns[candidates[0].graph][3] is kept
+    assert old not in store.columns and store._scored == {}
+    assert np.array_equal(again.layers[0].before[:, 0], scored[0])
+    assert np.array_equal(again.layers[0].responses(candidates[1].graph),
+                          scored[1])
+
+
 # -- deep layers: one array refinement per batch ----------------------------
-
-WL3_RAW = KernelConfig(kind=WL_SUBTREE, wl_iterations=3, normalized=False)
-
 
 def assert_deep_layer_exact(net, params, graphs, probes, fit=False):
     """Engine features equal the per-graph reference bitwise, and the
@@ -579,6 +690,50 @@ def test_graphlet_rows_count_each_graph_once(monkeypatch):
             assert np.array_equal(feat, network_forward(net, params, g))
         else:
             assert feat.shape == (0, net.feature_dim)
+
+
+def test_mask_counts_kept_for_the_current_bank_only(monkeypatch):
+    # graphlet3 vectors at layer 0 and WL norms at a deep layer: each
+    # current mask is counted once while it stays in the bank, a candidate
+    # once per scoring
+    rng = np.random.default_rng(25)
+    graphs = [random_graph(rng, n_max=8, dict_size=2) for _ in range(5)]
+    l0 = layer(num_masks=2, nodes=4, radius=1, kernel=G3, dict_size=2)
+    l1 = layer(num_masks=3, nodes=4, radius=2, kernel=WL2, dict_size=2)
+    net = NetworkConfig(layers=(l0, l1), quantizer_k=(None,))
+    params = make_params(net, rng)
+    vectors, refined = [], []
+    real_vector, real_refine = model.graphlet3_vector, WlColorTable.refine
+
+    def count_vector(g):
+        vectors.append(g)
+        return real_vector(g)
+
+    def count_refine(table, g):
+        refined.append(g)
+        return real_refine(table, g)
+
+    monkeypatch.setattr(model, "graphlet3_vector", count_vector)
+    monkeypatch.setattr(WlColorTable, "refine", count_refine)
+    engine = ForwardEngine(net)
+    engine.forward_graphs(params, graphs[:3])
+    trace = engine.forward_graphs(params, graphs, want_trace=True)
+    assert vectors == [mk.graph for mk in params.masks[0]]
+    assert refined == [mk.graph for mk in params.masks[1]]
+    probe = path_graph(3, [0, 1, 1])
+    for lt in trace.layers:
+        lt.responses(probe)
+        lt.responses(probe)
+    assert vectors[2:] == refined[3:] == [probe, probe]
+    old = params.masks[1][2].graph
+    params.masks[1][2] = fixed_mask(paw([1, 0, 0, 1]))
+    trace = engine.forward_graphs(params, graphs, want_trace=True)
+    assert refined[5:] == [params.masks[1][2].graph]
+    assert len(vectors) == 4
+    assert list(engine._banks[1]) == [mk.graph for mk in params.masks[1]]
+    assert old not in engine._banks[1]
+    for g, feat in zip(graphs, trace.features):
+        assert np.array_equal(feat, network_forward(net, params, g))
 
 
 @pytest.mark.parametrize("kinds", [(WL2, G3), (G3, WL2), (G3, G3)],
