@@ -13,12 +13,12 @@ from .kernels import (GRAPHLET3, WL_SUBTREE, KernelConfig, WlColorTable,
                       wl_subtree_kernel)
 from .quantizer import Codebook, CodebookStateError, assign, fit_update
 from .model import (ForwardEngine, LayerConfig, ModelParams, NetworkConfig,
-                    StructuralMask, gkc_forward, network_forward)
+                    StructuralMask)
 from .drd import (EditOperation, EditProbabilities, apply_edit,
                   drd_step_batched, init_mask_bank, sample_edit)
 from .head import (LossReport, MlpParams, Readout, accuracy, backward,
-                   batch_loss, cross_entropy, gradients, init_mlp, jsd_grad,
-                   jsd_loss, mlp_forward, pool_sum, readout)
+                   batch_loss, gradients, init_mlp, jsd_grad, jsd_loss,
+                   readout)
 from .data import (GraphDataset, MotifSpec, Split, fetch_benchmark,
                    generate_motif_dataset, generate_triangle_cycle_dataset,
                    load_benchmark, make_motif, save_benchmark,

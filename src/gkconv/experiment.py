@@ -401,8 +401,11 @@ def mask_significance(ds: GraphDataset, indices, net: NetworkConfig,
     base = head.batch_loss(params.mlp, base_trace.features, ys,
                            jsd_weight).total
     out = []
-    for l, layer in enumerate(net.layers):
-        for i in range(layer.num_masks):
+    # deepest layer first: an ablation changes the labels of the layers
+    # above its own, so the deeper ones run while the engine still keeps
+    # every layer's blocks under the base labels
+    for l in reversed(range(net.num_layers)):
+        for i in range(net.layers[l].num_masks):
             trace = engine.forward_graphs(params, graphs,
                                           zero_cols={(l, i)})
             loss = head.batch_loss(params.mlp, trace.features, ys,

@@ -42,7 +42,7 @@ class LabeledGraph:
     traversal downstream is order-deterministic.
     """
 
-    __slots__ = ("num_nodes", "edges", "labels", "adj")
+    __slots__ = ("num_nodes", "edges", "labels", "adj", "__weakref__")
 
     def __init__(self, num_nodes, edges, labels):
         if num_nodes < 0:

@@ -52,38 +52,6 @@ def init_mlp(in_dim: int, hidden: int, classes: int,
         opt=Adam(lr))
 
 
-def pool_sum(features: np.ndarray) -> np.ndarray:
-    """Column sums over the node axis; onto each mask's total response."""
-    features = np.asarray(features, dtype=np.float64)
-    if features.ndim != 2 or features.shape[0] < 1:
-        raise HeadError("need a non-empty (nodes, masks) feature matrix")
-    return features.sum(axis=0)
-
-
-def mlp_forward(p: MlpParams, pooled: np.ndarray) -> np.ndarray:
-    z1 = pooled @ p.W1 + p.b1
-    return np.maximum(z1, 0.0) @ p.W2 + p.b2
-
-
-def predict(p: MlpParams, pooled: np.ndarray) -> int:
-    """Argmax class; exact logit ties go to the smaller class id."""
-    return int(np.argmax(mlp_forward(p, pooled)))
-
-
-def softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max()
-    e = np.exp(z)
-    return e / e.sum()
-
-
-def cross_entropy(logits: np.ndarray, y: int) -> float:
-    """-log softmax(logits)[y], computed via log-sum-exp."""
-    if not 0 <= y < logits.shape[0]:
-        raise HeadError(f"class {y} out of range")
-    z = logits - logits.max()
-    return float(np.log(np.exp(z).sum()) - z[y])
-
-
 def _running_sum(a: np.ndarray, axis: int = 0) -> np.ndarray:
     """Sum along axis as a running ``total += a[i]`` from a zero total, in
     index order: the order, and so the bits, of a Python loop over the
@@ -248,7 +216,7 @@ def readout(p: MlpParams, features_list, ys, jsd_weight: float) -> Readout:
     loss = LossReport(cross_entropy=float(_running_sum(ce)) / b,
                       jsd=float(_running_sum(jsd)) / b,
                       jsd_weight=jsd_weight)
-    # argmax gives exact logit ties to the smaller class id, as predict
+    # argmax gives exact logit ties to the smaller class id
     hits = int((logits.argmax(axis=1) == ys).sum())
     return Readout(loss, hits / b, p, ys, jsd_weight, offsets, groups,
                    pooled, z1, a1, e / total[:, None])

@@ -13,18 +13,18 @@ concatenated for the readout.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import chain
 
 import numpy as np
 import scipy.sparse as sp
 
-from .graphs import (EgoBalls, GraphError, LabeledGraph, LabelDictionary,
-                     _ranges, ego_balls, ego_subgraph, induced_subgraph,
-                     max_component_nodes)
+from .graphs import (EgoBalls, LabeledGraph, LabelDictionary, _ranges,
+                     ego_balls, induced_subgraph, max_component_nodes)
 from .kernels import (GRAPHLET3, WL_SUBTREE, KernelConfig, WlColorTable,
                       csc_dot, graphlet3_union, graphlet3_vector,
-                      kernel_matrix, refine_union, safe_divide)
-from .quantizer import Codebook, CodebookStateError, assign, fit_update
+                      refine_union, safe_divide)
+from .quantizer import CodebookStateError, assign, fit_update
 
 
 class ModelError(ValueError):
@@ -188,13 +188,6 @@ def _check_layer_input(layer: LayerConfig, labels: np.ndarray, masks):
             raise ModelError("mask label outside layer dictionary")
 
 
-def gkc_forward(layer: LayerConfig, masks, g: LabeledGraph) -> np.ndarray:
-    """Feature matrix (n, num_masks) for one graph under one mask bank."""
-    _check_layer_input(layer, np.asarray(g.labels, dtype=np.int64), masks)
-    egos = [ego_subgraph(g, v, layer.radius).graph for v in range(g.num_nodes)]
-    return kernel_matrix(layer.kernel, egos, [mk.graph for mk in masks])
-
-
 @dataclass
 class ModelParams:
     """Everything the network learns.
@@ -207,30 +200,6 @@ class ModelParams:
     masks: list
     codebooks: list
     mlp: object = None
-
-
-def network_forward(net: NetworkConfig, params: ModelParams,
-                    g: LabeledGraph) -> np.ndarray:
-    """Reference forward pass for one graph: (n, sum of mask counts).
-
-    Junction codebooks must already be fitted; training uses the batched
-    engine below, which fits them on the fly.
-    """
-    if g.num_nodes == 0:
-        raise ModelError("cannot run the network on an empty graph")
-    cur = g
-    blocks = []
-    for l, layer in enumerate(net.layers):
-        z = gkc_forward(layer, params.masks[l], cur)
-        blocks.append(z)
-        if l < net.num_layers - 1:
-            if net.quantizer_k[l] is not None:
-                cb = params.codebooks[l]
-                if cb is None or not cb.initialized:
-                    raise CodebookStateError(
-                        f"junction {l} codebook has not been fitted")
-                cur = cur.with_labels(assign(cb, z))
-    return np.hstack(blocks)
 
 
 @dataclass
@@ -406,19 +375,29 @@ class ForwardEngine:
     of each batch's new graphs to one matrix, refined in one array pass
     (``kernels.refine_union``), and keeps every current mask's responses
     at the stored rows, each computed once while the mask is unchanged,
-    so a warm layer-0 batch is a row gather. Deeper
-    layers get their labels from the junctions, which change them on
-    every batch: every batch refines the union of its graphs' balls, and
-    mask graphs are looked up in that batch's compression tables; mask
-    columns gather only the mask's colors from the union's CSC counts.
-    Graphlet counts ignore labels entirely, so the balls of a batch's new
-    graphs are counted in one array pass (``kernels.graphlet3_union``)
-    and each graph keeps one (n, 2) block of counts per radius, which
-    serves every depth. Above layer 0 and for graphlet layers the engine
-    keeps the current masks' norms or counts, so a mask is refined or
-    counted once while it stays in its bank. Kernel values are bit-for-bit
-    identical to the plain per-graph path: all histogram dot products are
-    sums of small integers, exact in float64 in any order.
+    so a warm layer-0 batch is a row gather. Deeper layers get their
+    labels from the junctions. A batch whose labels or masks at such a
+    layer differ from what the layer last saw, as in every training
+    batch, refines the union of its graphs' balls, and mask graphs are
+    looked up in that batch's compression tables; mask columns gather
+    only the mask's colors from the union's CSC counts. The engine then
+    keeps each graph's input labels and (n, m) response block there
+    until the layer's mask bank changes, so a batch whose every graph
+    comes back with the labels it was kept with, as when scoring under
+    fixed parameters, concatenates the kept blocks and refines nothing;
+    its DRD responses closure refines the union on first use. A kept
+    block is bitwise what a fresh refinement gives, since a ball's
+    histogram, and the lookup of a mask's colors, do not depend on the
+    other balls of the union: a color the union never produced matches
+    no column. Graphlet counts ignore labels entirely, so the balls of a
+    batch's new graphs are counted in one array pass
+    (``kernels.graphlet3_union``) and each graph keeps one (n, 2) block
+    of counts per radius, which serves every depth. Above layer 0 and
+    for graphlet layers the engine keeps the current masks' norms or
+    counts, so a mask is refined or counted once while it stays in its
+    bank. Kernel values are bit-for-bit identical to the plain per-graph
+    path: all histogram dot products are sums of small integers, exact
+    in float64 in any order.
     """
 
     def __init__(self, net: NetworkConfig):
@@ -430,6 +409,8 @@ class ForwardEngine:
         self._g3_rows = {}   # (base graph, radius) -> (n, 2) graphlet counts
         self._banks = {}     # layer above 0 or graphlet layer ->
         #                      {current mask graph: its norm or counts}
+        self._deep = {}      # WL layer above 0 -> (mask bank,
+        #                      {graph: (input labels, (n, m) responses)})
 
     def _bank(self, l: int, mask_graphs, make):
         """g -> make(g), where make(g) is kept from batch to batch for each
@@ -483,13 +464,28 @@ class ForwardEngine:
 
     def _wl_deep_layer(self, l: int, layer: LayerConfig, graphs, labels,
                        mask_graphs):
-        """Responses of a layer whose labels change per batch: one
-        refinement of the union of the batch's ego balls; labels is the
-        flat node labeling of the batch. Returns (z, responses closure)."""
-        indptr, nbrs, origin, sizes = self._ego_balls(graphs, layer.radius)
-        union = refine_union(indptr, nbrs, labels[origin], sizes,
-                             layer.kernel.wl_iterations)
+        """Responses of a layer whose labels change per batch; labels is
+        the flat node labeling of the batch. Returns (z, responses
+        closure).
+
+        When every graph of the batch is kept in the layer's memo under
+        these labels and this mask bank, z is the concatenation of the
+        kept blocks. Otherwise the union of the batch's ego balls is
+        refined once and every graph's block is kept. The closure refines
+        that union on its first call if z did not need it."""
+        bank = tuple(mask_graphs)
+        # LabeledGraph has no __eq__, so the banks compare by identity
+        if self._deep.get(l, (None,))[0] != bank:
+            self._deep[l] = (bank, {})  # releases the replaced masks
+        memo = self._deep[l][1]
         normalized = layer.kernel.normalized
+
+        @cache
+        def union():
+            indptr, nbrs, origin, sizes = self._ego_balls(graphs,
+                                                          layer.radius)
+            return refine_union(indptr, nbrs, labels[origin], sizes,
+                                layer.kernel.wl_iterations)
 
         def norm(g):
             hist = WlColorTable(layer.input_dictionary.size,
@@ -499,12 +495,23 @@ class ForwardEngine:
         mask_norm = self._bank(l, mask_graphs, norm) if normalized else None
 
         def column(mask_graph):
-            col = union.dot(mask_graph)
+            col = union().dot(mask_graph)
             if normalized:
-                safe_divide(col, union.norms * mask_norm(mask_graph))
+                safe_divide(col, union().norms * mask_norm(mask_graph))
             return col
 
+        kept = [memo.get(g) for g in graphs]
+        if all(k is not None for k in kept) and np.array_equal(
+                np.concatenate([k[0] for k in kept]), labels):
+            return np.concatenate([k[1] for k in kept]), column
         z = np.column_stack([column(g) for g in mask_graphs])
+        at = 0
+        for g in graphs:
+            # copies: zero_cols writes into z, and a view would pin the
+            # batch's arrays
+            memo[g] = (labels[at:at + g.num_nodes].copy(),
+                       z[at:at + g.num_nodes].copy())
+            at += g.num_nodes
         return z, column
 
     def _graphlet_rows(self, graphs, radius: int) -> np.ndarray:

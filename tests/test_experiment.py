@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 import gkconv.experiment as ex
-from gkconv.data import generate_triangle_cycle_dataset, split_holdout
+from gkconv import head, model
+from gkconv.data import generate_triangle_cycle_dataset, split_holdout, take
 from gkconv.drd import EditProbabilities
 from gkconv.graphs import cycle_graph
 from gkconv.kernels import GRAPHLET3, KernelConfig, kernel_eval
-from gkconv.model import StructuralMask, random_connected_graph
+from gkconv.model import (ForwardEngine, StructuralMask,
+                          random_connected_graph)
 from gkconv.quantizer import default_k
 from gkconv.rng import stream
 
@@ -202,6 +204,61 @@ def test_mask_significance_ranks_ablations():
         assert r["base_loss"] == rows[0]["base_loss"]
     with pytest.raises(ex.ExperimentError, match="at least one graph"):
         ex.mask_significance(ds, (), net, params)
+
+
+def test_mask_significance_matches_fresh_engines(monkeypatch):
+    # one engine serves every ablation; each must give the bits of a
+    # fresh engine, and a deep-mask ablation, which leaves every label
+    # as the base pass saw it, refines no ego-ball union
+    ds = generate_triangle_cycle_dataset(12, np.random.default_rng(0))
+    net = ex.build_network(ds.dictionary.size, num_masks=2, mask_nodes=3,
+                           radius=1, num_layers=2, wl_iterations=2,
+                           quantizer_k=3)
+    cfg = ex.TrainConfig(epochs=1, batch_size=4, seed=9)
+    params, _ = ex.train(ds, split_holdout(ds, stream(cfg.seed, "splits")),
+                         net, cfg)
+    graphs, ys = take(ds, range(len(ds)))
+
+    def loss(zero_cols):
+        feats = ForwardEngine(net).forward_graphs(
+            params, graphs, zero_cols=zero_cols).features
+        return head.batch_loss(params.mlp, feats, ys, 1e-4).total
+
+    base = loss(frozenset())
+    want = []
+    for l, lay in enumerate(net.layers):
+        for i in range(lay.num_masks):
+            ablated = loss({(l, i)})
+            want.append({"layer": l, "mask": i,
+                         "loss_increase": ablated - base,
+                         "ablated_loss": ablated, "base_loss": base})
+    want.sort(key=lambda r: (-r["loss_increase"], r["layer"], r["mask"]))
+
+    refined, calls = [], []
+    real_union, real_forward = model.refine_union, ForwardEngine.forward_graphs
+
+    def count_union(*args):
+        refined.append(args)
+        return real_union(*args)
+
+    def count_forward(engine, params, graphs, **kw):
+        before = len(refined)
+        out = real_forward(engine, params, graphs, **kw)
+        calls.append((kw.get("zero_cols", frozenset()), len(refined) - before))
+        return out
+
+    monkeypatch.setattr(model, "refine_union", count_union)
+    monkeypatch.setattr(ForwardEngine, "forward_graphs", count_forward)
+    rows = ex.mask_significance(ds, range(len(ds)), net, params)
+
+    def bits(rs):
+        return [{k: v.hex() if isinstance(v, float) else v
+                 for k, v in r.items()} for r in rs]
+
+    assert bits(rows) == bits(want)
+    deep = [n for zero_cols, n in calls if {l for l, _ in zero_cols} == {1}]
+    assert deep == [0] * net.layers[1].num_masks
+    assert len(calls) == 1 + net.feature_dim
 
 
 def test_export_mask_dots(tmp_path):

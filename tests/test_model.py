@@ -4,6 +4,10 @@ The engine must agree bitwise with the per-graph reference path; the
 frozen kernel-response values back the triangle-discrimination claim.
 """
 
+import gc
+import weakref
+from unittest import mock
+
 import networkx as nx
 import numpy as np
 import pytest
@@ -11,6 +15,7 @@ import pytest
 import scipy.sparse._csr
 
 import gkconv.experiment as ex
+import gkconv.graphs as graphs_module
 from gkconv import kernels, model
 from gkconv.data import generate_triangle_cycle_dataset, split_holdout
 from gkconv.drd import EditProbabilities, init_mask_bank
@@ -21,12 +26,12 @@ from gkconv.kernels import (GRAPHLET3, WL_SUBTREE, KernelConfig,
                             WlColorTable, graphlet3_vector, kernel_matrix)
 from gkconv.model import (CodebookStateError, ForwardEngine, LayerConfig,
                           ModelError, ModelParams, NetworkConfig,
-                          StructuralMask, gkc_forward, network_forward,
-                          random_connected_graph)
+                          StructuralMask, random_connected_graph)
 from gkconv.graphs import ego_subgraph
 from gkconv.quantizer import Codebook, assign
 from gkconv.rng import stream
 from conftest import random_graph, to_nx
+from oracle import gkc_forward, network_forward
 
 WL1 = KernelConfig(kind=WL_SUBTREE, wl_iterations=1, normalized=True)
 WL2 = KernelConfig(kind=WL_SUBTREE, wl_iterations=2, normalized=True)
@@ -139,12 +144,18 @@ def test_gkc_forward_triangle_blind_spot_values():
 
 def test_gkc_forward_input_validation():
     lay = layer(num_masks=1, nodes=3, dict_size=1)
+    net = NetworkConfig(layers=(lay,), quantizer_k=())
     g = random_graph(np.random.default_rng(4), dict_size=2)
+
+    def forward(masks, graph):
+        params = ModelParams(masks=[masks], codebooks=[], mlp=None)
+        return ForwardEngine(net).forward_graphs(params, [graph])
+
     if max(g.labels) >= 1:
         with pytest.raises(ModelError):
-            gkc_forward(lay, [k3_mask()], g)
+            forward([k3_mask()], g)
     with pytest.raises(ModelError):
-        gkc_forward(lay, [], cycle_graph(3))  # mask count mismatch
+        forward([], cycle_graph(3))  # mask count mismatch
 
 
 @pytest.mark.parametrize("kernel", [WL1, WL2, G3])
@@ -548,12 +559,19 @@ def test_layer0_store_keeps_only_the_current_bank():
 
 def assert_deep_layer_exact(net, params, graphs, probes, fit=False):
     """Engine features equal the per-graph reference bitwise, and the
-    layer-1 evaluator equals kernel_matrix over the batch's egos."""
+    layer-1 evaluator equals kernel_matrix over the batch's egos.
+
+    With fit, the traced pass sees the labels and masks the fitting pass
+    left, so it is served from the kept blocks without a refinement, and
+    the evaluator refines the batch's union on its first call."""
     engine = ForwardEngine(net)
     if fit:
         engine.forward_graphs(params, graphs,
                               fit_rng=np.random.default_rng(0))
-    trace = engine.forward_graphs(params, graphs, want_trace=True)
+    with mock.patch.object(model, "refine_union",
+                           wraps=model.refine_union) as spy:
+        trace = engine.forward_graphs(params, graphs, want_trace=True)
+    assert spy.call_count == 0 or not fit
     for g, feat in zip(graphs, trace.features):
         assert np.array_equal(feat, network_forward(net, params, g))
     lt = trace.layers[1]
@@ -624,6 +642,175 @@ def test_deep_layer_one_node_graphs():
         params, [LabeledGraph(0, [], [])], want_trace=True)
     assert trace.features[0].shape == (0, net.feature_dim)
     assert trace.layers[1].responses(probes[2]).shape == (0,)
+
+
+# -- deep layers: blocks kept under unchanged labels and masks -------------
+
+def memo_net(kernel, k):
+    """Two WL layers over a 2-label input; k quantizes the junction into
+    k labels, None passes the input labels through."""
+    l0 = layer(num_masks=3, nodes=4, radius=1, kernel=kernel, dict_size=2)
+    l1 = layer(num_masks=3, nodes=4, radius=2, kernel=kernel,
+               dict_size=2 if k is None else k)
+    return NetworkConfig(layers=(l0, l1), quantizer_k=(k,))
+
+
+def memo_setup(kernel, k, seed):
+    """A net, params and 8 graphs, with an engine that has run them all
+    once (fitting the junction codebook when there is one)."""
+    rng = np.random.default_rng(seed)
+    net = memo_net(kernel, k)
+    params = make_params(net, rng)
+    graphs = [random_graph(rng, n_max=8, n_min=3, dict_size=2)
+              for _ in range(8)]
+    engine = ForwardEngine(net)
+    fit = None if k is None else np.random.default_rng(seed)
+    engine.forward_graphs(params, graphs, fit_rng=fit)
+    return rng, net, params, graphs, engine
+
+
+def count_refines(monkeypatch):
+    """Patches model.refine_union to record the ball count of each call."""
+    calls = []
+    real = model.refine_union
+
+    def counted(indptr, indices, labels, sizes, iterations):
+        calls.append(len(sizes))
+        return real(indptr, indices, labels, sizes, iterations)
+
+    monkeypatch.setattr(model, "refine_union", counted)
+    return calls
+
+
+def assert_forward_exact(engine, net, params, graphs, zero_cols=frozenset()):
+    """Engine features equal the per-graph reference bitwise, with the
+    zero_cols columns blanked; blanking a column below the last layer
+    also moves the layers above it, which the reference does not do."""
+    feats = engine.forward_graphs(params, graphs,
+                                  zero_cols=zero_cols).features
+    for g, feat in zip(graphs, feats):
+        want = network_forward(net, params, g)
+        for l, i in zero_cols:
+            want[:, sum(x.num_masks for x in net.layers[:l]) + i] = 0.0
+        assert np.array_equal(feat, want)
+    return feats
+
+
+def junction_labels(net, params, graphs):
+    """The layer-1 input labels of each graph under the current params."""
+    if net.quantizer_k[0] is None:
+        return [g.labels for g in graphs]
+    return [tuple(assign(params.codebooks[0],
+                         gkc_forward(net.layers[0], params.masks[0], g)))
+            for g in graphs]
+
+
+MEMO_CASES = [(WL2, 3), (WL3_RAW, 3), (WL2, None), (WL3_RAW, None)]
+MEMO_IDS = ["quantized", "quantized_raw", "passthrough", "passthrough_raw"]
+
+
+@pytest.mark.parametrize("kernel,k", MEMO_CASES, ids=MEMO_IDS)
+def test_deep_layer_warm_batch_refines_nothing(monkeypatch, kernel, k):
+    # every graph comes back with the labels and masks it was kept under:
+    # stored at layer 0, kept at layer 1, so no refinement anywhere
+    _, net, params, graphs, engine = memo_setup(kernel, k, 30)
+    cold = engine.forward_graphs(params, graphs).features
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("warm batch refined a union")
+
+    monkeypatch.setattr(model, "refine_union", forbidden)
+    batch = graphs[3:] + graphs[:2] + graphs[4:5]
+    warm = assert_forward_exact(engine, net, params, batch)
+    for a, b in zip(cold[3:] + cold[:2] + cold[4:5], warm):
+        assert np.array_equal(a, b)
+    # a warm trace builds nothing until its evaluator is called
+    trace = engine.forward_graphs(params, batch, want_trace=True)
+    with pytest.raises(AssertionError, match="refined a union"):
+        trace.layers[1].responses(params.masks[1][0].graph)
+
+
+@pytest.mark.parametrize("kernel,k", MEMO_CASES, ids=MEMO_IDS)
+def test_deep_layer_memo_follows_labels_and_masks(monkeypatch, kernel, k):
+    rng, net, params, graphs, engine = memo_setup(kernel, k, 31)
+    refines = count_refines(monkeypatch)
+    batch = graphs[2:] + graphs[:1]
+    assert_forward_exact(engine, net, params, batch)
+    assert refines == []
+    # one deep mask replaced: the bank changed, so the batch is refined
+    params.masks[1][1] = params.masks[1][1].replaced(
+        random_connected_graph(4, net.layers[1].input_dictionary.size, rng))
+    assert_forward_exact(engine, net, params, batch)
+    assert len(refines) == 1
+    assert_forward_exact(engine, net, params, batch[::-1])
+    assert len(refines) == 1
+    # one layer-0 mask replaced: a quantizing junction relabels some
+    # graph, which misses; a passthrough junction keeps every label, so
+    # the kept blocks still serve
+    before = junction_labels(net, params, batch)
+    old = params.masks[0][0]
+    for _ in range(20):  # a replacement that moves some label
+        params.masks[0][0] = old.replaced(random_connected_graph(4, 2, rng))
+        relabeled = junction_labels(net, params, batch) != before
+        if relabeled or k is None:
+            break
+    assert relabeled == (k is not None)
+    assert_forward_exact(engine, net, params, batch)
+    assert len(refines) == 1 + relabeled
+    assert_forward_exact(engine, net, params, batch)
+    assert len(refines) == 1 + relabeled
+    if k is None:
+        return
+    # the codebook refitted from scratch elsewhere (another engine, the
+    # graphs in another order)
+    before = junction_labels(net, params, batch)
+    params.codebooks[0] = Codebook(k)
+    ForwardEngine(net).forward_graphs(params, graphs[::-1],
+                                      fit_rng=np.random.default_rng(5))
+    assert junction_labels(net, params, batch) != before
+    assert len(refines) == 4  # the other engine's layers 0 and 1
+    assert_forward_exact(engine, net, params, batch)
+    assert len(refines) == 5
+    assert_forward_exact(engine, net, params, batch[1:])
+    assert len(refines) == 5
+
+
+@pytest.mark.parametrize("kernel,k", MEMO_CASES, ids=MEMO_IDS)
+def test_deep_layer_zero_cols_never_reach_the_memo(monkeypatch, kernel, k):
+    rng, net, params, graphs, engine = memo_setup(kernel, k, 32)
+    refines = count_refines(monkeypatch)
+    # blanked on a warm batch, which is served from the kept blocks
+    assert_forward_exact(engine, net, params, graphs, zero_cols={(1, 0)})
+    assert_forward_exact(engine, net, params, graphs)
+    # blanked on the batch that refills the memo after a bank change
+    params.masks[1][2] = params.masks[1][2].replaced(
+        random_connected_graph(4, net.layers[1].input_dictionary.size, rng))
+    assert_forward_exact(engine, net, params, graphs[1:],
+                         zero_cols={(1, 2), (1, 1)})
+    assert_forward_exact(engine, net, params, graphs[1:])
+    assert refines == [sum(g.num_nodes for g in graphs[1:])]
+    # a blanked layer-0 column reaches the layer-1 labels, so a fresh
+    # engine is the reference; the plain batch after it is exact too
+    blanked = engine.forward_graphs(params, graphs[1:],
+                                    zero_cols={(0, 1)}).features
+    fresh = ForwardEngine(net).forward_graphs(params, graphs[1:],
+                                              zero_cols={(0, 1)}).features
+    for a, b in zip(blanked, fresh):
+        assert np.array_equal(a, b)
+    assert_forward_exact(engine, net, params, graphs[1:])
+
+
+def test_deep_layer_memo_releases_replaced_masks():
+    rng, net, params, graphs, engine = memo_setup(WL2, 3, 33)
+    old = weakref.ref(params.masks[1][0].graph)
+    params.masks[1][0] = params.masks[1][0].replaced(
+        random_connected_graph(4, 3, rng))
+    assert_forward_exact(engine, net, params, graphs[:4])
+    gc.collect()
+    assert old() is None
+    bank, memo = engine._deep[1]
+    assert bank == tuple(mk.graph for mk in params.masks[1])
+    assert set(memo) == set(graphs[:4])
 
 
 # -- graphlet3: array counts per batch of new graphs ------------------------
@@ -758,7 +945,10 @@ def test_graphlet3_net_never_builds_ego_graphs(monkeypatch):
     def refuse(*args):
         raise AssertionError("ego_subgraph called")
 
-    monkeypatch.setattr(model, "ego_subgraph", refuse)
+    # the engine does not even bind ego_subgraph; the reference path
+    # calls it through gkconv.graphs
+    assert not hasattr(model, "ego_subgraph")
+    monkeypatch.setattr(graphs_module, "ego_subgraph", refuse)
     ds = generate_triangle_cycle_dataset(40, stream(0, "synth"))
     net = ex.build_network(ds.dictionary.size, num_masks=3, mask_nodes=4,
                            radius=2, kernel_kind=GRAPHLET3, num_layers=2,
