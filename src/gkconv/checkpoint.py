@@ -41,21 +41,18 @@ def _np_le(arr):
 
 
 def _adam_blob(prefix, opt: Adam, arrays, meta):
-    meta[f"{prefix}.t"] = opt.t
+    state = opt.state()
+    meta[f"{prefix}.t"] = state.pop("t")
     meta[f"{prefix}.lr"] = opt.lr
-    for kind, table in (("m", opt.m), ("v", opt.v)):
-        for name in sorted(table):
-            arrays[f"{prefix}.{kind}.{name}"] = table[name]
+    arrays.update((f"{prefix}.{key}", arr) for key, arr in state.items())
 
 
 def _load_adam(prefix, meta, arrays) -> Adam:
     opt = Adam(float(meta[f"{prefix}.lr"]))
-    opt.t = int(meta[f"{prefix}.t"])
-    for key, arr in arrays.items():
-        if key.startswith(f"{prefix}.m."):
-            opt.m[key[len(prefix) + 3:]] = arr.astype(np.float64)
-        elif key.startswith(f"{prefix}.v."):
-            opt.v[key[len(prefix) + 3:]] = arr.astype(np.float64)
+    head = f"{prefix}."
+    opt.load_state({"t": meta[f"{prefix}.t"],
+                    **{key[len(head):]: arr for key, arr in arrays.items()
+                       if key.startswith(head)}})
     return opt
 
 

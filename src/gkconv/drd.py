@@ -233,6 +233,9 @@ def drd_step_batched(mask: StructuralMask, phase: str,
     after = apply_edit(mask, op)
     if not effective_change(mask, after):
         est = 0.0
+        # the same effective mask, so the same graph object: a new one
+        # would read as a changed bank and drop the engine's kept responses
+        after.graph = mask.graph
     else:
         est = float(grads @ (responses(after.graph) - before_col))
     update_probs(mask, op, est)

@@ -16,13 +16,11 @@ import numpy as np
 
 from . import drd, head
 from .data import GraphDataset, Split, split_holdout, split_kfold, take
-from .graphs import (LabeledGraph, LabelDictionary, complete_graph,
-                     cycle_graph, disjoint_union, ego_subgraph, star_graph,
-                     to_dot)
+from .graphs import (LabelDictionary, complete_graph, cycle_graph,
+                     disjoint_union, ego_subgraph, star_graph, to_dot)
 from .kernels import (WL_SUBTREE, KernelConfig, kernel_matrix,
                       wl_indistinguishable)
-from .model import (ForwardEngine, LayerConfig, ModelParams, NetworkConfig,
-                    random_connected_graph)
+from .model import ForwardEngine, LayerConfig, ModelParams, NetworkConfig
 from .quantizer import Codebook, default_k
 from .rng import derive_seed, stream
 
@@ -499,21 +497,3 @@ def expressiveness_report() -> ExpressivenessReport:
     return ExpressivenessReport(refinement_confused=confused,
                                 feature_gap=gap,
                                 passed=confused and gap > 1e-6)
-
-
-def mask_motif_similarity(params: ModelParams, motif: LabeledGraph,
-                          rng: np.random.Generator, layer: int = 0,
-                          n_random: int = 100,
-                          kernel: KernelConfig = None):
-    """Median kernel similarity of the learned masks to a target motif,
-    next to the same median for random connected graphs of the motif's
-    size. Used to check whether training actually recovered structure."""
-    if kernel is None:
-        kernel = KernelConfig(kind=WL_SUBTREE, wl_iterations=3,
-                              normalized=True)
-    mask_sims = kernel_matrix(kernel, [m.graph for m in params.masks[layer]],
-                              [motif])
-    rand_sims = kernel_matrix(
-        kernel, [random_connected_graph(motif.num_nodes, 1, rng)
-                 for _ in range(n_random)], [motif])
-    return float(np.median(mask_sims)), float(np.median(rand_sims))

@@ -221,33 +221,22 @@ class BatchTrace:
 
 class _WlRowStore:
     """Layer-0 subtree-kernel rows of every graph the engine has seen, in
-    one append-only CSR matrix, plus the current masks' responses at those
-    rows.
+    one append-only CSR matrix over the colors of one persistent
+    WlColorTable.
 
     Layer-0 labels never change, so a graph's ego balls are refined once:
-    the first batch that brings the graph refines them together with the
-    balls of every other new graph of the batch (``refine_union``), maps
-    the union's classes to the colors of one persistent WlColorTable,
-    which also refines the mask graphs, and appends one row per ball; a
-    color id is its column. ``indptr``/``indices``/``counts`` are the rows,
-    ``norms`` their histogram norms and ``rows`` each graph's row range.
-    Stored rows stay valid as new colors extend the table, since existing
-    ids never move.
-
-    ``columns`` maps each current mask graph to its histogram (colors,
-    counts, norm), its response at every stored row and which of those
-    responses are known. A batch fills in the responses its rows lack from
-    one CSC matrix of the batch's rows and gathers the rest, so a response
-    is computed once per mask graph and row while the mask stays in the
-    bank, and a warm batch under unchanged masks is a row gather. DRD
-    candidates are scored at the batch's rows the same way and kept until
-    the next batch, where an accepted candidate's entry becomes its bank
-    entry.
+    the first batch that reads a graph's rows refines its balls together
+    with the balls of every other new graph of the batch
+    (``refine_union``), maps the union's classes to the colors of the
+    table, which also refines the mask graphs, and appends one row per
+    ball; a color id is its column. ``indptr``/``indices``/``counts`` are
+    the rows, ``norms`` their histogram norms and ``rows`` each graph's
+    row range. Stored rows stay valid as new colors extend the table,
+    since existing ids never move.
     """
 
-    def __init__(self, table: WlColorTable, normalized: bool):
+    def __init__(self, table: WlColorTable):
         self.table = table
-        self.normalized = normalized
         # colors and counts as int32 halve the rows: a color id is below
         # the table's entry count and a count below a ball's size, and
         # int32 counts times float64 weights are exact
@@ -256,22 +245,17 @@ class _WlRowStore:
         self.counts = np.empty(0, dtype=np.int32)
         self.norms = np.empty(0)
         self.rows = {}      # graph -> (first row, end row)
-        self.columns = {}   # current mask graph -> (colors, counts, norm,
-        #                     responses, known) over all stored rows
-        self._scored = {}   # candidates scored since the last batch, same
 
-    def _entry(self, g: LabeledGraph):
-        """Mask graph g's histogram and norm, no response known yet."""
-        hist = self.table.histogram(g)
-        counts = np.fromiter(hist.values(), dtype=np.float64,
-                             count=len(hist))
-        n = len(self.norms)
-        return (np.fromiter(hist.keys(), dtype=np.int64, count=len(hist)),
-                counts, float(np.sqrt(counts @ counts)), np.zeros(n),
-                np.zeros(n, dtype=bool))
-
-    def _csc(self, rows: np.ndarray):
-        """The given stored rows, in that order, as CSC arrays."""
+    def batch(self, graphs, balls_of):
+        """The rows of graphs, in batch order, as CSC arrays (col_ptr,
+        row, counts) plus their norms. The graphs not yet stored are
+        stored first; balls_of maps them to the union of their balls."""
+        new = [g for g in dict.fromkeys(graphs) if g not in self.rows]
+        if new:
+            self._add(new, *balls_of(new))
+        first, end = np.array([self.rows[g] for g in graphs],
+                              dtype=np.int64).reshape(-1, 2).T
+        rows = _ranges(first, end - first)
         lo = self.indptr[rows]
         span = self.indptr[rows + 1] - lo
         at = _ranges(lo, span)
@@ -279,51 +263,11 @@ class _WlRowStore:
         mat = sp.csr_matrix(
             (self.counts[at], indices, np.concatenate(([0], np.cumsum(span)))),
             shape=(len(rows), int(indices.max(initial=0)) + 1)).tocsc()
-        return mat.indptr, mat.indices, mat.data
-
-    def batch(self, graphs, mask_graphs, balls_of):
-        """Make mask_graphs the bank and store the rows of the graphs not
-        yet stored (balls_of maps them to the union of their balls).
-        Returns the batch's responses closure: a mask graph's responses at
-        the rows of graphs, in batch order.
-
-        The bank keeps the entries of the current mask graphs only: a mask
-        kept since the last batch, or an accepted candidate scored since,
-        keeps its known responses, and a replaced one is released."""
-        kept, scored = self.columns, self._scored
-        self.columns = {g: kept[g] if g in kept else
-                        scored[g] if g in scored else self._entry(g)
-                        for g in mask_graphs}
-        self._scored = {}
-        new = [g for g in dict.fromkeys(graphs) if g not in self.rows]
-        if new:
-            self._add(new, *balls_of(new))
-        first, end = np.array([self.rows[g] for g in graphs],
-                              dtype=np.int64).reshape(-1, 2).T
-        rows = _ranges(first, end - first)
-        csc = []  # the batch's rows, built when a response is missing
-
-        def response(g: LabeledGraph) -> np.ndarray:
-            entry = self.columns.get(g) or self._scored.get(g)
-            if entry is None:
-                entry = self._scored[g] = self._entry(g)
-            colors, counts, norm, col, known = entry
-            if not known[rows].all():
-                if not csc:
-                    csc.append(self._csc(rows))
-                got = csc_dot(*csc[0], colors, counts, len(rows))
-                if self.normalized:
-                    safe_divide(got, self.norms[rows] * norm)
-                col[rows] = got
-                known[rows] = True
-            return col[rows]
-
-        return response
+        return mat.indptr, mat.indices, mat.data, self.norms[rows]
 
     def _add(self, graphs, indptr, nbrs, origin, sizes):
         """Refine the balls of graphs (their union, as ``_concat_balls``
-        gives it), append one row per ball and give every bank entry an
-        unknown response there."""
+        gives it) and append one row per ball."""
         labels = np.fromiter(chain.from_iterable(g.labels for g in graphs),
                              dtype=np.int64, count=len(sizes))
         union = refine_union(indptr, nbrs, labels[origin], sizes,
@@ -342,11 +286,6 @@ class _WlRowStore:
         self.counts = np.concatenate(
             (self.counts, union.count[order].astype(np.int32)))
         self.norms = np.concatenate((self.norms, union.norms))
-        grow = len(sizes)
-        self.columns = {
-            g: (colors, counts, norm, np.concatenate((col, np.zeros(grow))),
-                np.concatenate((known, np.zeros(grow, dtype=bool))))
-            for g, (colors, counts, norm, col, known) in self.columns.items()}
 
 
 def _concat_balls(parts):
@@ -368,36 +307,28 @@ class ForwardEngine:
     Ego-ball structure depends only on adjacency, never on labels, so the
     engine builds each graph's balls once per radius, as a block-diagonal
     CSR union (``graphs.ego_balls``, run once over all the graphs a batch
-    brings for the first time), and relabels them per batch; it keeps
-    them only at radii that a WL layer above the first reads on every
-    batch. First-layer inputs keep their labels for the whole run, and
-    so do the masks between edits: a ``_WlRowStore`` appends the ego rows
-    of each batch's new graphs to one matrix, refined in one array pass
-    (``kernels.refine_union``), and keeps every current mask's responses
-    at the stored rows, each computed once while the mask is unchanged,
-    so a warm layer-0 batch is a row gather. Deeper layers get their
-    labels from the junctions. A batch whose labels or masks at such a
-    layer differ from what the layer last saw, as in every training
-    batch, refines the union of its graphs' balls, and mask graphs are
-    looked up in that batch's compression tables; mask columns gather
-    only the mask's colors from the union's CSC counts. The engine then
-    keeps each graph's input labels and (n, m) response block there
-    until the layer's mask bank changes, so a batch whose every graph
-    comes back with the labels it was kept with, as when scoring under
-    fixed parameters, concatenates the kept blocks and refines nothing;
-    its DRD responses closure refines the union on first use. A kept
-    block is bitwise what a fresh refinement gives, since a ball's
-    histogram, and the lookup of a mask's colors, do not depend on the
-    other balls of the union: a color the union never produced matches
-    no column. Graphlet counts ignore labels entirely, so the balls of a
-    batch's new graphs are counted in one array pass
-    (``kernels.graphlet3_union``) and each graph keeps one (n, 2) block
-    of counts per radius, which serves every depth. Above layer 0 and
-    for graphlet layers the engine keeps the current masks' norms or
-    counts, so a mask is refined or counted once while it stays in its
-    bank. Kernel values are bit-for-bit identical to the plain per-graph
-    path: all histogram dot products are sums of small integers, exact
-    in float64 in any order.
+    brings for the first time), and keeps them only at radii that a WL
+    layer above the first reads on every batch.
+
+    Each layer kind supplies a lazy responses closure, which scores a mask
+    graph against the ego of every node of the batch and builds what it
+    needs on its first call: layer 0's ``_WlRowStore`` stores the rows of
+    the batch's new graphs, refined in one array pass
+    (``kernels.refine_union``), and gathers the batch's rows into one CSC
+    matrix; a WL layer above the first refines the union of the batch's
+    balls under the labels its junction gives; a graphlet3 layer, which
+    ignores labels, reads one (n, 2) block of counts per graph and radius,
+    each counted once (``kernels.graphlet3_union``). A mask's histogram,
+    norm or counts are kept while it stays in its layer's bank.
+
+    One memo serves every layer (``_responses``): each graph's input
+    labels and (n, m) response block, kept until the layer's mask bank
+    changes, so a batch scored under fixed parameters concatenates kept
+    blocks and builds nothing. A kept block is bitwise what a fresh pass
+    gives, since a ball's histogram, and the lookup of a mask's colors, do
+    not depend on the other balls of the batch; and kernel values are
+    bit-for-bit those of the plain per-graph path: all histogram dot
+    products are sums of small integers, exact in float64 in any order.
     """
 
     def __init__(self, net: NetworkConfig):
@@ -405,11 +336,14 @@ class ForwardEngine:
         self._balls = {}     # (base graph, radius) -> EgoBalls
         self._deep_wl_radii = {layer.radius for layer in net.layers[1:]
                                if layer.kernel.kind == WL_SUBTREE}
-        self._l0_store = None  # _WlRowStore when layer 0 uses wl_subtree
+        first = net.layers[0]
+        self._l0_store = _WlRowStore(WlColorTable(
+            first.input_dictionary.size, first.kernel.wl_iterations)) \
+            if first.kernel.kind == WL_SUBTREE else None
         self._g3_rows = {}   # (base graph, radius) -> (n, 2) graphlet counts
-        self._banks = {}     # layer above 0 or graphlet layer ->
-        #                      {current mask graph: its norm or counts}
-        self._deep = {}      # WL layer above 0 -> (mask bank,
+        self._banks = {}     # layer -> {current mask graph: its histogram,
+        #                      norm or counts}
+        self._memo = {}      # layer -> (mask bank,
         #                      {graph: (input labels, (n, m) responses)})
 
     def _bank(self, l: int, mask_graphs, make):
@@ -419,6 +353,33 @@ class ForwardEngine:
         bank = self._banks[l] = {g: old[g] if g in old else make(g)
                                  for g in mask_graphs}
         return lambda g: bank[g] if g in bank else make(g)
+
+    def _responses(self, l: int, graphs, labels, mask_graphs, column):
+        """Layer l's (n, m) responses to the batch, whose flat input
+        labeling is labels; column is the layer's responses closure.
+
+        When every graph of the batch is kept in the memo under these
+        labels and this mask bank, the kept blocks are concatenated into
+        a new array. Otherwise column gives every mask's responses, and a
+        copy of every graph's block is kept until the bank changes."""
+        bank = tuple(mask_graphs)
+        # LabeledGraph has no __eq__, so the banks compare by identity
+        if self._memo.get(l, (None,))[0] != bank:
+            self._memo[l] = (bank, {})  # releases the replaced masks
+        memo = self._memo[l][1]
+        kept = [memo.get(g) for g in graphs]
+        if None not in kept and np.array_equal(
+                np.concatenate([k[0] for k in kept]), labels):
+            return np.concatenate([k[1] for k in kept])
+        z = np.column_stack([column(g) for g in mask_graphs])
+        at = 0
+        for g in graphs:
+            # copies: zero_cols writes into z, and a view would pin the
+            # batch's arrays
+            memo[g] = (labels[at:at + g.num_nodes].copy(),
+                       z[at:at + g.num_nodes].copy())
+            at += g.num_nodes
+        return z
 
     def _ego_balls(self, graphs, radius: int):
         """The balls of every node of graphs as one union, in
@@ -450,34 +411,39 @@ class ForwardEngine:
         return _concat_balls([kept[(g, radius)] for g in graphs])
 
     def _wl_first_layer(self, layer: LayerConfig, graphs, mask_graphs):
-        """Responses gathered from the layer-0 store; returns (z, responses
-        closure)."""
-        if self._l0_store is None:
-            self._l0_store = _WlRowStore(
-                WlColorTable(layer.input_dictionary.size,
-                             layer.kernel.wl_iterations),
-                layer.kernel.normalized)
-        column = self._l0_store.batch(
-            graphs, mask_graphs, lambda new: self._ego_balls(new, layer.radius))
-        z = np.column_stack([column(g) for g in mask_graphs])
-        return z, column
+        """Layer 0's responses closure over the row store; its first call
+        stores the batch's new graphs and gathers the batch's rows."""
+        store = self._l0_store
+
+        def histogram(g):
+            hist = store.table.histogram(g)
+            counts = np.fromiter(hist.values(), dtype=np.float64,
+                                 count=len(hist))
+            return (np.fromiter(hist.keys(), dtype=np.int64,
+                                count=len(hist)),
+                    counts, float(np.sqrt(counts @ counts)))
+
+        mask_hist = self._bank(0, mask_graphs, histogram)
+
+        @cache
+        def rows():
+            return store.batch(
+                graphs, lambda new: self._ego_balls(new, layer.radius))
+
+        def column(mask_graph):
+            *csc, norms = rows()
+            colors, counts, norm = mask_hist(mask_graph)
+            col = csc_dot(*csc, colors, counts, len(norms))
+            return (safe_divide(col, norms * norm) if layer.kernel.normalized
+                    else col)
+
+        return column
 
     def _wl_deep_layer(self, l: int, layer: LayerConfig, graphs, labels,
                        mask_graphs):
-        """Responses of a layer whose labels change per batch; labels is
-        the flat node labeling of the batch. Returns (z, responses
-        closure).
-
-        When every graph of the batch is kept in the layer's memo under
-        these labels and this mask bank, z is the concatenation of the
-        kept blocks. Otherwise the union of the batch's ego balls is
-        refined once and every graph's block is kept. The closure refines
-        that union on its first call if z did not need it."""
-        bank = tuple(mask_graphs)
-        # LabeledGraph has no __eq__, so the banks compare by identity
-        if self._deep.get(l, (None,))[0] != bank:
-            self._deep[l] = (bank, {})  # releases the replaced masks
-        memo = self._deep[l][1]
+        """The responses closure of a WL layer whose labels change per
+        batch; labels is the flat node labeling of the batch. Its first
+        call refines the union of the batch's ego balls."""
         normalized = layer.kernel.normalized
 
         @cache
@@ -496,23 +462,10 @@ class ForwardEngine:
 
         def column(mask_graph):
             col = union().dot(mask_graph)
-            if normalized:
-                safe_divide(col, union().norms * mask_norm(mask_graph))
-            return col
+            return (safe_divide(col, union().norms * mask_norm(mask_graph))
+                    if normalized else col)
 
-        kept = [memo.get(g) for g in graphs]
-        if all(k is not None for k in kept) and np.array_equal(
-                np.concatenate([k[0] for k in kept]), labels):
-            return np.concatenate([k[1] for k in kept]), column
-        z = np.column_stack([column(g) for g in mask_graphs])
-        at = 0
-        for g in graphs:
-            # copies: zero_cols writes into z, and a view would pin the
-            # batch's arrays
-            memo[g] = (labels[at:at + g.num_nodes].copy(),
-                       z[at:at + g.num_nodes].copy())
-            at += g.num_nodes
-        return z, column
+        return column
 
     def _graphlet_rows(self, graphs, radius: int) -> np.ndarray:
         """graphlet3 counts of the radius-balls of every node of graphs, in
@@ -530,9 +483,14 @@ class ForwardEngine:
 
     def _graphlet_layer(self, l: int, layer: LayerConfig, graphs,
                         mask_graphs):
-        lv = self._graphlet_rows(graphs, layer.radius)
+        """A graphlet3 layer's responses closure; its first call reads the
+        batch's count rows."""
         normalized = layer.kernel.normalized
-        ln = np.sqrt((lv * lv).sum(axis=1))
+
+        @cache
+        def rows():
+            lv = self._graphlet_rows(graphs, layer.radius)
+            return lv, np.sqrt((lv * lv).sum(axis=1))
 
         def counts(g):
             rv = graphlet3_vector(g)
@@ -541,14 +499,12 @@ class ForwardEngine:
         mask_counts = self._bank(l, mask_graphs, counts)
 
         def column(mask_graph):
+            lv, ln = rows()
             rv, rnorm = mask_counts(mask_graph)
             col = lv @ rv
-            if normalized:
-                safe_divide(col, ln * rnorm)
-            return col
+            return safe_divide(col, ln * rnorm) if normalized else col
 
-        z = np.column_stack([column(g) for g in mask_graphs])
-        return z, column
+        return column
 
     def forward_graphs(self, params: ModelParams, graphs,
                        fit_rng: np.random.Generator = None,
@@ -573,14 +529,15 @@ class ForwardEngine:
             _check_layer_input(layer, labels_flat, params.masks[l])
             mask_graphs = [mk.graph for mk in params.masks[l]]
             if layer.kernel.kind == GRAPHLET3:
-                z_flat, responses = self._graphlet_layer(l, layer, graphs,
-                                                         mask_graphs)
+                responses = self._graphlet_layer(l, layer, graphs,
+                                                 mask_graphs)
             elif l == 0:
-                z_flat, responses = self._wl_first_layer(layer, graphs,
-                                                         mask_graphs)
+                responses = self._wl_first_layer(layer, graphs, mask_graphs)
             else:
-                z_flat, responses = self._wl_deep_layer(
-                    l, layer, graphs, labels_flat, mask_graphs)
+                responses = self._wl_deep_layer(l, layer, graphs,
+                                                labels_flat, mask_graphs)
+            z_flat = self._responses(l, graphs, labels_flat, mask_graphs,
+                                     responses)
             for (zl, zi) in zero_cols:
                 if zl == l:
                     z_flat[:, zi] = 0.0

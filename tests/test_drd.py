@@ -14,7 +14,9 @@ from gkconv.drd import (DrdError, EditOperation, EditProbabilities,
 from gkconv.graphs import LabelDictionary, LabeledGraph, complete_graph
 from gkconv.kernels import (WL_SUBTREE, KernelConfig, kernel_eval,
                             kernel_matrix)
-from gkconv.model import LayerConfig, StructuralMask
+from gkconv import model
+from gkconv.model import (ForwardEngine, LayerConfig, ModelParams,
+                          NetworkConfig, StructuralMask)
 from conftest import random_graph, to_nx
 
 EDGE = "edge"
@@ -249,6 +251,41 @@ def test_effective_change_ignores_dead_component_edits():
     # but touching the main component is visible
     shrunk = apply_edit(mask, EditOperation.remove(0, 1))
     assert effective_change(mask, shrunk)
+
+
+def test_accepted_noop_edit_keeps_the_mask_graph(monkeypatch):
+    # an accepted edit the kernel cannot see keeps the mask graph object,
+    # so an engine's kept responses under that bank still serve
+    ws = LabeledGraph(5, [(0, 1), (0, 2), (1, 2)], [0] * 5)
+    mask = StructuralMask(workspace=ws,
+                          edit_probs=EditProbabilities.zeros(5, 1))
+    lay = layer(nodes=5, dict_size=1)
+    net = NetworkConfig(layers=(lay,), quantizer_k=())
+    params = ModelParams(masks=[[mask]], codebooks=[])
+    rng = np.random.default_rng(6)
+    graphs = [random_graph(rng, n_max=7, dict_size=1) for _ in range(4)]
+    engine = ForwardEngine(net)
+    trace = engine.forward_graphs(params, graphs, want_trace=True)
+    logits = mask.edit_probs.edge_logits
+    logits[:] = -60.0
+    for u, v in ws.edges + ((3, 4),):
+        logits[pair_index(u, v, 5)] = 60.0
+    lb = trace.layers[0]
+    out, accepted, est = drd_step_batched(
+        mask, EDGE, np.random.default_rng(0), lb.responses, lb.before[:, 0],
+        np.ones(len(lb.before)))
+    assert accepted and est == 0.0
+    assert out is not mask and out.workspace.has_edge(3, 4)
+    assert out.graph is mask.graph
+    params.masks[0][0] = out
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a no-op edit recomputed a response")
+
+    monkeypatch.setattr(model, "csc_dot", forbidden)
+    again = engine.forward_graphs(params, graphs)
+    for a, b in zip(trace.features, again.features):
+        assert np.array_equal(a, b)
 
 
 def test_estimate_subgradient_matches_manual_sum():

@@ -8,11 +8,8 @@ import pytest
 import gkconv.experiment as ex
 from gkconv import head, model
 from gkconv.data import generate_triangle_cycle_dataset, split_holdout, take
-from gkconv.drd import EditProbabilities
-from gkconv.graphs import cycle_graph
-from gkconv.kernels import GRAPHLET3, KernelConfig, kernel_eval
-from gkconv.model import (ForwardEngine, StructuralMask,
-                          random_connected_graph)
+from gkconv.kernels import KernelConfig
+from gkconv.model import ForwardEngine
 from gkconv.quantizer import default_k
 from gkconv.rng import stream
 
@@ -282,45 +279,3 @@ def test_expressiveness_report_passes():
     assert rep.refinement_confused and rep.passed
     assert rep.feature_gap > 1e-6
     assert "PASS" in rep.summary()
-
-
-def test_mask_motif_similarity_separates_planted_bank():
-    net = ex.build_network(1, num_masks=2, mask_nodes=6)
-    params = ex.init_params(net, 2, ex.TrainConfig())
-    ring = cycle_graph(6)
-    params.masks[0] = [
-        StructuralMask(workspace=ring,
-                       edit_probs=EditProbabilities.zeros(6, 1))
-        for _ in range(2)]
-    got, rand = ex.mask_motif_similarity(params, ring,
-                                         np.random.default_rng(0),
-                                         n_random=50)
-    assert got == pytest.approx(1.0, abs=1e-12)
-    assert 0.0 < rand < 1.0
-
-
-def per_pair_motif_similarity(params, motif, rng, n_random, kernel):
-    """mask_motif_similarity as one kernel_eval per (graph, motif) pair."""
-    mask_sims = [kernel_eval(kernel, m.graph, motif)
-                 for m in params.masks[0]]
-    rand_sims = []
-    for _ in range(n_random):
-        g = random_connected_graph(motif.num_nodes, 1, rng)
-        rand_sims.append(kernel_eval(kernel, g, motif))
-    return float(np.median(mask_sims)), float(np.median(rand_sims))
-
-
-@pytest.mark.parametrize("kernel", [
-    KernelConfig(wl_iterations=3, normalized=True),
-    KernelConfig(wl_iterations=2, normalized=False),
-    KernelConfig(kind=GRAPHLET3, normalized=True)])
-def test_mask_motif_similarity_matches_per_pair_loop(kernel):
-    net = ex.build_network(1, num_masks=5, mask_nodes=6)
-    params = ex.init_params(net, 2, ex.TrainConfig(seed=3))
-    for motif in (cycle_graph(6), cycle_graph(3)):
-        rng_a, rng_b = np.random.default_rng(4), np.random.default_rng(4)
-        got = ex.mask_motif_similarity(params, motif, rng_a, n_random=51,
-                                       kernel=kernel)
-        want = per_pair_motif_similarity(params, motif, rng_b, 51, kernel)
-        assert got == want
-        assert rng_a.random() == rng_b.random()  # same draws, same order

@@ -237,8 +237,9 @@ def test_engine_keeps_only_current_mask_histograms():
     old = params.masks[0][1]
     params.masks[0][1] = old.replaced(random_connected_graph(4, 2, rng))
     second = engine.forward_graphs(params, graphs)
-    bank = engine._l0_store.columns
-    assert set(map(id, bank)) == {id(mk.graph) for mk in params.masks[0]}
+    current = tuple(mk.graph for mk in params.masks[0])
+    assert tuple(engine._banks[0]) == current
+    assert engine._memo[0][0] == current
     assert np.array_equal(first.features[0][:, 0], second.features[0][:, 0])
 
 
@@ -393,7 +394,7 @@ def test_layer0_rows_stay_valid_when_a_later_batch_adds_colors():
     before = engine.forward_graphs(params, first).features
     mask_colors = set()
     for mk in params.masks[0]:
-        mask_colors |= set(engine._l0_store.columns[mk.graph][0].tolist())
+        mask_colors |= set(engine._banks[0][mk.graph][0].tolist())
     seen = block_colors(engine, first)
     trace = engine.forward_graphs(params, second, want_trace=True)
     fresh = block_colors(engine, second) - seen
@@ -487,9 +488,16 @@ def test_layer0_columns_follow_batches_and_mask_edits(kernel):
               star_graph(7, [1] * 8), candidate.graph]
     engine = ForwardEngine(net)
     # new graphs and an empty one, every stored row in order, a column
-    # blanked: the blanking must not reach the kept columns
+    # blanked; the same batch again is served from the memo, which the
+    # blanking must not have reached
     assert_layer0_batch_exact(engine, net, params, pool[:4] + pool[-1:],
                               probes, zero_cols={(0, 1)})
+    assert_layer0_batch_exact(engine, net, params, pool[:4] + pool[-1:],
+                              probes)
+    # nor may blanking a batch served from a single kept block
+    assert_layer0_batch_exact(engine, net, params, pool[1:2], probes,
+                              zero_cols={(0, 0)})
+    assert_layer0_batch_exact(engine, net, params, pool[1:2], probes)
     store = engine._l0_store
     # stored and new graphs together, a repeat inside the batch
     assert_layer0_batch_exact(engine, net, params,
@@ -500,11 +508,16 @@ def test_layer0_columns_follow_batches_and_mask_edits(kernel):
     assert_layer0_batch_exact(engine, net, params,
                               pool[9:11] + pool[3:7] + pool[3:4], probes)
     # a mask replaced by a candidate the last batch scored, then only
-    # stored graphs: the blanked column was never written into the store
+    # stored graphs: the memo now holds this bank's block of every graph
     params.masks[0][2] = candidate
-    assert_layer0_batch_exact(engine, net, params, pool[::-1], probes)
-    assert all(len(entry[3]) == len(store.norms)
-               for entry in store.columns.values())
+    trace = assert_layer0_batch_exact(engine, net, params, pool[::-1],
+                                      probes)
+    bank, memo = engine._memo[0]
+    assert bank == tuple(mk.graph for mk in params.masks[0])
+    assert set(memo) == set(pool)
+    for g, feat in zip(pool[::-1], trace.features):
+        assert memo[g][0].tolist() == list(g.labels)
+        assert np.array_equal(memo[g][1], feat)
     assert sorted(store.rows.values()) == sorted(
         zip(np.cumsum([0] + [g.num_nodes for g in store.rows])[:-1],
             np.cumsum([g.num_nodes for g in store.rows])))
@@ -536,20 +549,22 @@ def test_layer0_store_keeps_only_the_current_bank():
     graphs = [random_graph(rng, n_max=8, dict_size=3) for _ in range(5)]
     engine = ForwardEngine(net)
     trace = engine.forward_graphs(params, graphs, want_trace=True)
-    store = engine._l0_store
-    assert list(store.columns) == [mk.graph for mk in params.masks[0]]
+    current = tuple(mk.graph for mk in params.masks[0])
+    assert tuple(engine._banks[0]) == engine._memo[0][0] == current
     candidates = [fixed_mask(paw([1, 1, 1, 1])),
                   fixed_mask(cycle_graph(4, [2, 2, 1, 1]))]
     scored = [trace.layers[0].responses(c.graph) for c in candidates]
-    # the first candidate is accepted: its column is the one it was scored
-    # with, and the replaced mask's column is released
+    # scoring candidates keeps nothing
+    assert tuple(engine._banks[0]) == engine._memo[0][0] == current
+    # the first candidate is accepted: the batch's column is the one it
+    # was scored with, and the replaced mask is released
     old = params.masks[0][0].graph
     params.masks[0][0] = candidates[0]
-    kept = store._scored[candidates[0].graph][3]
     again = engine.forward_graphs(params, graphs, want_trace=True)
-    assert list(store.columns) == [mk.graph for mk in params.masks[0]]
-    assert store.columns[candidates[0].graph][3] is kept
-    assert old not in store.columns and store._scored == {}
+    current = tuple(mk.graph for mk in params.masks[0])
+    assert tuple(engine._banks[0]) == engine._memo[0][0] == current
+    assert old not in engine._banks[0]
+    assert set(engine._memo[0][1]) == set(graphs)
     assert np.array_equal(again.layers[0].before[:, 0], scored[0])
     assert np.array_equal(again.layers[0].responses(candidates[1].graph),
                           scored[1])
@@ -808,9 +823,72 @@ def test_deep_layer_memo_releases_replaced_masks():
     assert_forward_exact(engine, net, params, graphs[:4])
     gc.collect()
     assert old() is None
-    bank, memo = engine._deep[1]
+    bank, memo = engine._memo[1]
     assert bank == tuple(mk.graph for mk in params.masks[1])
     assert set(memo) == set(graphs[:4])
+
+
+@pytest.mark.parametrize("kinds,l", [
+    ((WL2,), 0), ((WL2, WL2), 1), ((G3,), 0), ((WL2, G3), 1)],
+    ids=["wl_layer0", "wl_deep", "graphlet3_layer0", "graphlet3_deep"])
+def test_replaced_mask_graph_is_freed(kinds, l):
+    # nothing the engine keeps, the memo or the mask statistics, pins a
+    # mask graph once its layer's bank has moved on
+    rng = np.random.default_rng(34)
+    net = NetworkConfig(
+        layers=tuple(layer(num_masks=2, nodes=4, radius=2, kernel=k,
+                           dict_size=2) for k in kinds),
+        quantizer_k=(None,) * (len(kinds) - 1))
+    params = make_params(net, rng)
+    graphs = [random_graph(rng, n_max=8, n_min=3, dict_size=2)
+              for _ in range(6)]
+    engine = ForwardEngine(net)
+    trace = engine.forward_graphs(params, graphs, want_trace=True)
+    trace.layers[l].responses(path_graph(3, [0, 1, 0]))
+    del trace
+    old = weakref.ref(params.masks[l][0].graph)
+    params.masks[l][0] = params.masks[l][0].replaced(
+        random_connected_graph(4, 2, rng))
+    for batch in (graphs[:4], graphs):
+        assert_forward_exact(engine, net, params, batch)
+    gc.collect()
+    assert old() is None
+    bank, memo = engine._memo[l]
+    assert bank == tuple(engine._banks[l]) == tuple(
+        mk.graph for mk in params.masks[l])
+    assert set(memo) == set(graphs)
+
+
+def test_train_keeps_blocks_of_the_current_bank_only(monkeypatch):
+    # after several epochs of edits and a final evaluation under the best
+    # epoch's masks, every layer's memo and mask statistics belong to the
+    # returned masks, with one block per distinct graph at most
+    engines = []
+
+    class Recorded(ForwardEngine):
+        def __init__(self, net):
+            super().__init__(net)
+            engines.append(self)
+
+    monkeypatch.setattr(ex, "ForwardEngine", Recorded)
+    ds = generate_triangle_cycle_dataset(24, np.random.default_rng(3))
+    net = ex.build_network(ds.dictionary.size, num_masks=2, mask_nodes=4,
+                           radius=1, num_layers=2, wl_iterations=2)
+    cfg = ex.TrainConfig(epochs=4, batch_size=6, seed=2)
+    params, report = ex.train(ds, split_holdout(ds, stream(2, "splits")),
+                              net, cfg)
+    assert len(report.rows) == cfg.epochs
+    engine, = engines
+    corpus = {id(g) for g in ds.graphs}
+    for l, masks in enumerate(params.masks):
+        bank, memo = engine._memo[l]
+        assert bank == tuple(engine._banks[l]) == tuple(
+            mk.graph for mk in masks)
+        assert {id(g) for g in memo} <= corpus
+        assert len(memo) <= len(corpus)
+        for g, (labels, block) in memo.items():
+            assert len(labels) == g.num_nodes
+            assert block.shape == (g.num_nodes, len(masks))
 
 
 # -- graphlet3: array counts per batch of new graphs ------------------------
@@ -879,6 +957,34 @@ def test_graphlet_rows_count_each_graph_once(monkeypatch):
             assert feat.shape == (0, net.feature_dim)
 
 
+@pytest.mark.parametrize("kinds", [(G3,), (WL2, G3)],
+                         ids=["layer0", "deep"])
+def test_graphlet_warm_batch_reads_no_rows(monkeypatch, kinds):
+    # graphs kept under the current bank: the batch is served from the
+    # memo, and only a call of its responses closure reads count rows
+    rng = np.random.default_rng(26)
+    net = NetworkConfig(
+        layers=tuple(layer(num_masks=3, nodes=4, radius=2, kernel=k,
+                           dict_size=2) for k in kinds),
+        quantizer_k=(None,) * (len(kinds) - 1))
+    params = make_params(net, rng)
+    graphs = [g for g in graphlet_corpus(rng) if g.num_nodes]
+    engine = ForwardEngine(net)
+    cold = engine.forward_graphs(params, graphs).features
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("warm batch read graphlet rows")
+
+    monkeypatch.setattr(ForwardEngine, "_graphlet_rows", forbidden)
+    batch = graphs[5:] + graphs[:3] + graphs[6:7]
+    warm = assert_forward_exact(engine, net, params, batch)
+    for a, b in zip(cold[5:] + cold[:3] + cold[6:7], warm):
+        assert np.array_equal(a, b)
+    trace = engine.forward_graphs(params, batch, want_trace=True)
+    with pytest.raises(AssertionError, match="read graphlet rows"):
+        trace.layers[-1].responses(params.masks[-1][0].graph)
+
+
 def test_mask_counts_kept_for_the_current_bank_only(monkeypatch):
     # graphlet3 vectors at layer 0 and WL norms at a deep layer: each
     # current mask is counted once while it stays in the bank, a candidate
@@ -919,6 +1025,7 @@ def test_mask_counts_kept_for_the_current_bank_only(monkeypatch):
     assert len(vectors) == 4
     assert list(engine._banks[1]) == [mk.graph for mk in params.masks[1]]
     assert old not in engine._banks[1]
+    assert engine._memo[1][0] == tuple(engine._banks[1])
     for g, feat in zip(graphs, trace.features):
         assert np.array_equal(feat, network_forward(net, params, g))
 
