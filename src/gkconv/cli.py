@@ -243,22 +243,23 @@ def _train_pieces(cfg, ds):
     return net, _train_config(cfg)
 
 
-def _write_resolved(out_dir, cfg):
+def _out_dir(cfg):
+    """Create the run's output directory and write the resolved config
+    into it as config.txt."""
+    out_dir = Path(cfg["out"])
+    out_dir.mkdir(parents=True, exist_ok=True)
     lines = [f"{k}={','.join(map(str, v)) if isinstance(v, tuple) else v}"
              for k, v in sorted(cfg.items())]
     (out_dir / "config.txt").write_text("\n".join(lines) + "\n")
+    return out_dir
 
 
-def cmd_train(args):
-    cfg = _resolve(args, _MODEL_OPTS)
-    _print_config("train", cfg)
+def cmd_train(cfg):
     ds = _load_dataset(cfg, "train")
     net, tc = _train_pieces(cfg, ds)
     split = split_holdout(ds, stream(tc.seed, "splits"))
     params, report = experiment.train(ds, split, net, tc)
-    out_dir = Path(cfg["out"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_resolved(out_dir, cfg)
+    out_dir = _out_dir(cfg)
     report.to_csv(out_dir / "report.csv")
     counters = {"epochs_run": len(report.rows),
                 "best_epoch": report.best_epoch, "seed": tc.seed}
@@ -269,17 +270,12 @@ def cmd_train(args):
     return 0
 
 
-def cmd_cv(args):
-    opts = {**_MODEL_OPTS, **_CV_EXTRA}
-    cfg = _resolve(args, opts)
-    _print_config("cv", cfg)
+def cmd_cv(cfg):
     ds = _load_dataset(cfg, "cv")
     net, tc = _train_pieces(cfg, ds)
     result = experiment.cross_validate(ds, net, tc, folds=cfg["folds"],
                                        jobs=cfg["jobs"])
-    out_dir = Path(cfg["out"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_resolved(out_dir, cfg)
+    out_dir = _out_dir(cfg)
     with open(out_dir / "cv_summary.csv", "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["fold", "test_accuracy"])
@@ -295,15 +291,10 @@ def cmd_cv(args):
     return 0
 
 
-def cmd_grid(args):
-    opts = {**_MODEL_OPTS, **_GRID_EXTRA}
-    cfg = _resolve(args, opts)
-    _print_config("grid", cfg)
+def cmd_grid(cfg):
     ds = _load_dataset(cfg, "grid")
     tc = _train_config(cfg)
-    out_dir = Path(cfg["out"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_resolved(out_dir, cfg)
+    out_dir = _out_dir(cfg)
     result = experiment.grid_search(
         ds, tc, masks_grid=cfg["grid_masks"], nodes_grid=cfg["grid_nodes"],
         radius_grid=cfg["grid_radius"], layers_grid=cfg["grid_layers"],
@@ -317,9 +308,7 @@ def cmd_grid(args):
     return 0
 
 
-def cmd_synth(args):
-    cfg = _resolve(args, _SYNTH_OPTS)
-    _print_config("synth", cfg)
+def cmd_synth(cfg):
     rng = stream(cfg["seed"], "synth")
     if cfg["motif"] not in MOTIF_KINDS + ("triangle-cycle",):
         raise UsageError(
@@ -339,9 +328,7 @@ def cmd_synth(args):
     return 0
 
 
-def cmd_masks(args):
-    cfg = _resolve(args, _MASKS_OPTS)
-    _print_config("masks", cfg)
+def cmd_masks(cfg):
     _require(cfg, "ckpt", "masks")
     ds = _load_dataset(cfg, "masks")
     net, params, _ = checkpoint.load_checkpoint(cfg["ckpt"])
@@ -363,9 +350,7 @@ def cmd_masks(args):
     return 0
 
 
-def cmd_kernel(args):
-    cfg = _resolve(args, _KERNEL_OPTS)
-    _print_config("kernel", cfg)
+def cmd_kernel(cfg):
     ds = _load_dataset(cfg, "kernel")
     kc = KernelConfig(kind=_kernel_kind(cfg["kernel"]),
                       wl_iterations=cfg["wl_iters"],
@@ -382,17 +367,13 @@ def cmd_kernel(args):
     return 0
 
 
-def cmd_expressiveness(args):
-    cfg = _resolve(args, {})
-    _print_config("expressiveness", cfg)
+def cmd_expressiveness(cfg):
     report = experiment.expressiveness_report()
     print(report.summary())
     return 0 if report.passed else 1
 
 
-def cmd_fetch(args):
-    cfg = _resolve(args, _FETCH_OPTS)
-    _print_config("fetch", cfg)
+def cmd_fetch(cfg):
     _require(cfg, "name", "fetch")
     path = fetch_benchmark(cfg["name"], cfg["data"])
     print(f"dataset unpacked to {path}")
@@ -425,7 +406,7 @@ def build_parser():
     for name, fn, opts, hlp in specs:
         sub = subs.add_parser(name, help=hlp)
         _add_opts(sub, opts)
-        sub.set_defaults(fn=fn)
+        sub.set_defaults(fn=fn, opts=opts)
     return parser
 
 
@@ -433,7 +414,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        cfg = _resolve(args, args.opts)
+        _print_config(args.command, cfg)
+        return args.fn(cfg)
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 2

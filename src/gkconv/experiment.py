@@ -51,7 +51,6 @@ class TrainConfig:
     patience: int = 100
     seed: int = 0
     hidden: int = 0
-    check_invariants: bool = False
 
     def __post_init__(self):
         if not 0 <= self.epochs <= MAX_EPOCHS:
@@ -149,16 +148,6 @@ def evaluate(engine: ForwardEngine, params: ModelParams, graphs, ys,
     return out.loss, out.accuracy
 
 
-def _assert_invariants(bank, accepted, est):
-    assert np.isfinite(est), "edit estimate must be finite"
-    if accepted:
-        assert est <= 0.0, "accepted edits must have non-positive estimates"
-    for mask in bank:
-        assert 1 <= mask.graph.num_nodes <= mask.workspace.num_nodes
-        rows = mask.edit_probs.label_probs().sum(axis=1)
-        assert np.all(np.abs(rows - 1.0) <= 1e-9), "label rows must stay normalized"
-
-
 def train(ds: GraphDataset, split: Split, net: NetworkConfig,
           cfg: TrainConfig):
     """Train one model on one split; returns (params, RunReport).
@@ -202,8 +191,7 @@ def train(ds: GraphDataset, split: Split, net: NetworkConfig,
             graphs = [train_graphs[int(i)] for i in bidx]
             ys = [train_ys[int(i)] for i in bidx]
             trace = engine.forward_graphs(params, graphs,
-                                          fit_rng=kmeans_rng,
-                                          want_trace=True)
+                                          fit_rng=kmeans_rng)
             out = head.readout(params.mlp, trace.features, ys,
                                cfg.jsd_weight)
             if not math.isfinite(out.loss.total):
@@ -230,8 +218,6 @@ def train(ds: GraphDataset, split: Split, net: NetworkConfig,
                     if ok or est != 0.0:
                         proposals += 1
                         accepted_count += int(ok)
-                    if cfg.check_invariants:
-                        _assert_invariants(params.masks[l], ok, est)
                 col += layer.num_masks
             step += 1
 

@@ -30,9 +30,6 @@ class LabelDictionary:
         if self.size < 1:
             raise GraphError(f"label dictionary needs size >= 1, got {self.size}")
 
-    def valid(self, label: int) -> bool:
-        return 0 <= label < self.size
-
 
 class LabeledGraph:
     """Undirected graph with integer node labels.

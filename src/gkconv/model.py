@@ -13,7 +13,7 @@ concatenated for the readout.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, partial
 from itertools import chain
 
 import numpy as np
@@ -310,16 +310,16 @@ class ForwardEngine:
     brings for the first time), and keeps them only at radii that a WL
     layer above the first reads on every batch.
 
-    Each layer kind supplies a lazy responses closure, which scores a mask
-    graph against the ego of every node of the batch and builds what it
-    needs on its first call: layer 0's ``_WlRowStore`` stores the rows of
-    the batch's new graphs, refined in one array pass
-    (``kernels.refine_union``), and gathers the batch's rows into one CSC
-    matrix; a WL layer above the first refines the union of the batch's
-    balls under the labels its junction gives; a graphlet3 layer, which
-    ignores labels, reads one (n, 2) block of counts per graph and radius,
-    each counted once (``kernels.graphlet3_union``). A mask's histogram,
-    norm or counts are kept while it stays in its layer's bank.
+    Every layer kind plugs into one responses closure (``_column``),
+    which scores a mask graph against the ego of every node of the batch.
+    A kind supplies the batch's rows, built on the first call, and a
+    mask's statistic: layer 0 gathers its rows from ``_WlRowStore``, which
+    refines each new graph's balls once (``kernels.refine_union``), and a
+    mask's histogram over the store's colors; a WL layer above the first
+    refines the union of the batch's balls under its junction's labels
+    and takes a mask's norm; a graphlet3 layer reads one (n, 2) block of
+    counts per graph and radius, each counted once
+    (``kernels.graphlet3_union``), and a mask's counts.
 
     One memo serves every layer (``_responses``): each graph's input
     labels and (n, m) response block, kept until the layer's mask bank
@@ -341,18 +341,10 @@ class ForwardEngine:
             first.input_dictionary.size, first.kernel.wl_iterations)) \
             if first.kernel.kind == WL_SUBTREE else None
         self._g3_rows = {}   # (base graph, radius) -> (n, 2) graphlet counts
-        self._banks = {}     # layer -> {current mask graph: its histogram,
-        #                      norm or counts}
+        self._stats = {}     # layer -> {mask graph: (vector, norm)}, for the
+        #                      bank and the candidates its batch scored
         self._memo = {}      # layer -> (mask bank,
         #                      {graph: (input labels, (n, m) responses)})
-
-    def _bank(self, l: int, mask_graphs, make):
-        """g -> make(g), where make(g) is kept from batch to batch for each
-        of layer l's current mask graphs and for nothing else."""
-        old = self._banks.get(l, {})
-        bank = self._banks[l] = {g: old[g] if g in old else make(g)
-                                 for g in mask_graphs}
-        return lambda g: bank[g] if g in bank else make(g)
 
     def _responses(self, l: int, graphs, labels, mask_graphs, column):
         """Layer l's (n, m) responses to the batch, whose flat input
@@ -410,63 +402,6 @@ class ForwardEngine:
                     sizes=union.sizes[first[i]:first[i + 1]])
         return _concat_balls([kept[(g, radius)] for g in graphs])
 
-    def _wl_first_layer(self, layer: LayerConfig, graphs, mask_graphs):
-        """Layer 0's responses closure over the row store; its first call
-        stores the batch's new graphs and gathers the batch's rows."""
-        store = self._l0_store
-
-        def histogram(g):
-            hist = store.table.histogram(g)
-            counts = np.fromiter(hist.values(), dtype=np.float64,
-                                 count=len(hist))
-            return (np.fromiter(hist.keys(), dtype=np.int64,
-                                count=len(hist)),
-                    counts, float(np.sqrt(counts @ counts)))
-
-        mask_hist = self._bank(0, mask_graphs, histogram)
-
-        @cache
-        def rows():
-            return store.batch(
-                graphs, lambda new: self._ego_balls(new, layer.radius))
-
-        def column(mask_graph):
-            *csc, norms = rows()
-            colors, counts, norm = mask_hist(mask_graph)
-            col = csc_dot(*csc, colors, counts, len(norms))
-            return (safe_divide(col, norms * norm) if layer.kernel.normalized
-                    else col)
-
-        return column
-
-    def _wl_deep_layer(self, l: int, layer: LayerConfig, graphs, labels,
-                       mask_graphs):
-        """The responses closure of a WL layer whose labels change per
-        batch; labels is the flat node labeling of the batch. Its first
-        call refines the union of the batch's ego balls."""
-        normalized = layer.kernel.normalized
-
-        @cache
-        def union():
-            indptr, nbrs, origin, sizes = self._ego_balls(graphs,
-                                                          layer.radius)
-            return refine_union(indptr, nbrs, labels[origin], sizes,
-                                layer.kernel.wl_iterations)
-
-        def norm(g):
-            hist = WlColorTable(layer.input_dictionary.size,
-                                layer.kernel.wl_iterations).histogram(g)
-            return float(np.sqrt(sum(c * c for c in hist.values())))
-
-        mask_norm = self._bank(l, mask_graphs, norm) if normalized else None
-
-        def column(mask_graph):
-            col = union().dot(mask_graph)
-            return (safe_divide(col, union().norms * mask_norm(mask_graph))
-                    if normalized else col)
-
-        return column
-
     def _graphlet_rows(self, graphs, radius: int) -> np.ndarray:
         """graphlet3 counts of the radius-balls of every node of graphs, in
         batch order; the graphs without a stored block are counted in one
@@ -481,38 +416,76 @@ class ForwardEngine:
                 rows[(g, radius)] = counts[a:b]
         return np.concatenate([rows[(g, radius)] for g in graphs])
 
-    def _graphlet_layer(self, l: int, layer: LayerConfig, graphs,
-                        mask_graphs):
-        """A graphlet3 layer's responses closure; its first call reads the
-        batch's count rows."""
-        normalized = layer.kernel.normalized
+    def _column(self, l: int, layer: LayerConfig, graphs, labels,
+                mask_graphs):
+        """Layer l's responses closure over the batch, whose flat input
+        labeling is labels: mask graph -> its (n,) responses. rows() gives
+        the batch side, a dot function and the egos' norms; stat(g) a
+        mask's vector (a deep WL mask's is the graph) and norm. The stats
+        of the bank and of every candidate the batch scores are kept until
+        the next batch, which keeps its own bank's only."""
+        kernel, radius = layer.kernel, layer.radius
+        if kernel.kind == GRAPHLET3:
+            def rows():
+                lv = self._graphlet_rows(graphs, radius)
+                return partial(np.matmul, lv), np.sqrt((lv * lv).sum(axis=1))
 
-        @cache
-        def rows():
-            lv = self._graphlet_rows(graphs, layer.radius)
-            return lv, np.sqrt((lv * lv).sum(axis=1))
+            def stat(g):
+                rv = graphlet3_vector(g)
+                return rv, float(np.sqrt(rv @ rv))
+        elif l == 0:
+            store = self._l0_store
 
-        def counts(g):
-            rv = graphlet3_vector(g)
-            return rv, float(np.sqrt(rv @ rv))
+            def rows():
+                *csc, norms = store.batch(
+                    graphs, lambda new: self._ego_balls(new, radius))
+                return lambda hist: csc_dot(*csc, *hist, len(norms)), norms
 
-        mask_counts = self._bank(l, mask_graphs, counts)
+            def stat(g):
+                # interns the mask's colors into the store's table
+                hist = store.table.histogram(g)
+                counts = np.fromiter(hist.values(), dtype=np.float64,
+                                     count=len(hist))
+                colors = np.fromiter(hist.keys(), dtype=np.int64,
+                                     count=len(hist))
+                return (colors, counts), float(np.sqrt(counts @ counts))
+        else:
+            def rows():
+                indptr, nbrs, origin, sizes = self._ego_balls(graphs, radius)
+                union = refine_union(indptr, nbrs, labels[origin], sizes,
+                                     kernel.wl_iterations)
+                return union.dot, union.norms
 
-        def column(mask_graph):
-            lv, ln = rows()
-            rv, rnorm = mask_counts(mask_graph)
-            col = lv @ rv
-            return safe_divide(col, ln * rnorm) if normalized else col
+            def stat(g):
+                if not kernel.normalized:
+                    return g, None
+                hist = WlColorTable(layer.input_dictionary.size,
+                                    kernel.wl_iterations).histogram(g)
+                return g, float(np.sqrt(sum(c * c for c in hist.values())))
+
+        rows = cache(rows)
+        kept = self._stats.get(l, {})
+        stats = self._stats[l] = {g: kept[g] if g in kept else stat(g)
+                                  for g in mask_graphs}
+
+        def column(g):
+            dot, norms = rows()
+            if g not in stats:
+                stats[g] = stat(g)
+            vec, norm = stats[g]
+            col = dot(vec)
+            return safe_divide(col, norms * norm) if kernel.normalized else col
 
         return column
 
     def forward_graphs(self, params: ModelParams, graphs,
                        fit_rng: np.random.Generator = None,
-                       zero_cols=frozenset(), want_trace: bool = False) -> BatchTrace:
-        """Forward a batch; fit_rng switches junction codebooks to
-        fit-then-assign on this batch (training mode). zero_cols is a set
-        of (layer, mask_index) whose response column is forced to zero
-        network wide (ablation support)."""
+                       zero_cols=frozenset()) -> BatchTrace:
+        """Forward a batch: per-graph features and, per layer, the batch's
+        responses and its responses closure. fit_rng switches junction
+        codebooks to fit-then-assign on this batch (training mode).
+        zero_cols is a set of (layer, mask_index) whose response column is
+        forced to zero network wide (ablation support)."""
         graphs = list(graphs)
         if not graphs:
             raise ModelError("empty batch")
@@ -523,28 +496,19 @@ class ForwardEngine:
         labels_flat = np.fromiter(
             chain.from_iterable(g.labels for g in graphs), dtype=np.int64,
             count=ends[-1])
-        layer_z = []
         layer_traces = []
         for l, layer in enumerate(net.layers):
             _check_layer_input(layer, labels_flat, params.masks[l])
             mask_graphs = [mk.graph for mk in params.masks[l]]
-            if layer.kernel.kind == GRAPHLET3:
-                responses = self._graphlet_layer(l, layer, graphs,
-                                                 mask_graphs)
-            elif l == 0:
-                responses = self._wl_first_layer(layer, graphs, mask_graphs)
-            else:
-                responses = self._wl_deep_layer(l, layer, graphs,
-                                                labels_flat, mask_graphs)
+            responses = self._column(l, layer, graphs, labels_flat,
+                                     mask_graphs)
             z_flat = self._responses(l, graphs, labels_flat, mask_graphs,
                                      responses)
             for (zl, zi) in zero_cols:
                 if zl == l:
                     z_flat[:, zi] = 0.0
-            layer_z.append(z_flat)
-            if want_trace:
-                layer_traces.append(LayerBatch(before=z_flat,
-                                               responses=responses))
+            layer_traces.append(LayerBatch(before=z_flat,
+                                           responses=responses))
             if l < net.num_layers - 1:
                 if net.quantizer_k[l] is None:
                     continue
@@ -557,6 +521,7 @@ class ForwardEngine:
                 labels_flat = assign(cb, z_flat)
         # per-graph features are row views of one matrix; nothing
         # downstream writes into them
-        z_all = layer_z[0] if len(layer_z) == 1 else np.hstack(layer_z)
+        z_all = np.hstack([lt.before for lt in layer_traces]) \
+            if len(layer_traces) > 1 else layer_traces[0].before
         return BatchTrace(features=[z_all[a:b] for a, b in slices],
                           layers=layer_traces)

@@ -12,13 +12,14 @@ class Adam:
     step, so one optimizer can serve a dict of differently shaped arrays.
     """
 
-    def __init__(self, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
+
+    def __init__(self, lr):
         if lr <= 0:
             raise ValueError(f"learning rate must be positive, got {lr}")
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = {}
         self.v = {}

@@ -13,6 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# Lloyd stops once no centroid moves by more than TOL times the largest
+# centroid norm (at least 1), or after MAX_ITER passes
+TOL = 1e-6
+MAX_ITER = 100
+
 
 class QuantizerError(ValueError):
     pass
@@ -84,10 +89,10 @@ def _reseed_empty(X, C, assign_idx):
     return True
 
 
-def _lloyd(X, C, tol, max_iter):
+def _lloyd(X, C):
     """Lloyd iterations in place; returns the inertia after each pass."""
     trace = []
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         d2 = _pairwise_sq(X, C)
         idx = d2.argmin(axis=1)
         if _reseed_empty(X, C, idx):
@@ -102,13 +107,13 @@ def _lloyd(X, C, tol, max_iter):
         shift = float(np.sqrt(((new - C) ** 2).sum(axis=1)).max())
         C[:] = new
         scale = float(np.sqrt((C * C).sum(axis=1)).max())
-        if shift <= tol * max(scale, 1.0):
+        if shift <= TOL * max(scale, 1.0):
             break
     return trace
 
 
-def fit_update(cb: Codebook, X: np.ndarray, rng: np.random.Generator = None,
-               tol: float = 1e-6, max_iter: int = 100) -> Codebook:
+def fit_update(cb: Codebook, X: np.ndarray,
+               rng: np.random.Generator = None) -> Codebook:
     """Fit (first call) or warm-start update (later calls) on one batch.
 
     Records the mean centroid movement of the whole call relative to the
@@ -123,7 +128,7 @@ def fit_update(cb: Codebook, X: np.ndarray, rng: np.random.Generator = None,
             raise QuantizerError("first fit needs an rng for k-means++ seeding")
         cb.centroids = kmeans_pp_init(X, cb.k, rng)
         entry = cb.centroids.copy()
-        _lloyd(X, cb.centroids, tol, max_iter)
+        _lloyd(X, cb.centroids)
         cb.initialized = True
     else:
         if X.shape[1] != cb.centroids.shape[1]:
@@ -133,7 +138,7 @@ def fit_update(cb: Codebook, X: np.ndarray, rng: np.random.Generator = None,
             cb.last_displacement = 0.0
             return cb
         entry = cb.centroids.copy()
-        _lloyd(X, cb.centroids, tol, max_iter)
+        _lloyd(X, cb.centroids)
     moved = float(np.sqrt(((cb.centroids - entry) ** 2).sum(axis=1)).mean())
     k = cb.k
     if k >= 2:

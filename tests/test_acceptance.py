@@ -237,13 +237,15 @@ def _run_instrumented(monkeypatch, ds, net, cfg, split):
         out = real_step(mask, *args, **kwargs)
         new_mask, accepted, est = out[0], out[1], out[2]
         stats["steps"] += 1
+        if not np.isfinite(est):
+            stats["bad"].append(f"non-finite estimate {est}")
         if accepted:
             stats["accepted"] += 1
             if not est <= 0.0:
                 stats["bad"].append(f"accepted edit with estimate {est}")
         g = new_mask.graph
-        if g.num_nodes > new_mask.workspace.num_nodes:
-            stats["bad"].append(f"mask grew to {g.num_nodes} nodes")
+        if not 1 <= g.num_nodes <= new_mask.workspace.num_nodes:
+            stats["bad"].append(f"mask has {g.num_nodes} nodes")
         if g.num_nodes > 1 and not nx.is_connected(to_nx(g)):
             stats["bad"].append(f"disconnected mask at step "
                                 f"{stats['steps']}")
@@ -407,8 +409,7 @@ def test_c09_codebook_settles(mutag, monkeypatch):
     split = split_holdout(ds, stream(cfg.seed, "splits"))
     params, _ = ex.train(ds, split, net, cfg)
     graphs = [ds.graphs[i] for i in split.train]
-    trace = ForwardEngine(net).forward_graphs(params, graphs,
-                                              want_trace=True)
+    trace = ForwardEngine(net).forward_graphs(params, graphs)
     z = trace.layers[0].before
     cb = Codebook(k=4)
     rng = stream(0, "kmeans")

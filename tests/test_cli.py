@@ -6,11 +6,16 @@ import zipfile
 
 import pytest
 
-from gkconv import experiment
+from gkconv import cli, experiment
 from gkconv.cli import main
 
 TINY = ["--masks", "2", "--mask-nodes", "3", "--radius", "1",
         "--wl-iters", "1", "--epochs", "2", "--batch", "4"]
+
+# every subcommand, with one of its int options (None: it has none)
+COMMANDS = {"train": "epochs", "cv": "folds", "grid": "sample",
+            "synth": "count", "masks": "top", "kernel": "wl_iters",
+            "expressiveness": None, "fetch": None}
 
 
 def run(argv):
@@ -42,9 +47,7 @@ def test_synth_writes_motif_corpus_with_meta(tmp_path, capsys):
     code = main(["synth", "--motif", "ring", "--size", "5", "--count", "6",
                  "--out", str(tmp_path), "--name", "toy", "--seed", "1"])
     assert code == 0
-    out = capsys.readouterr().out
-    assert "resolved config (synth):" in out
-    assert "wrote 6 graphs" in out
+    assert "wrote 6 graphs" in capsys.readouterr().out
     d = tmp_path / "toy"
     for suffix in ("A", "graph_indicator", "graph_labels", "node_labels",
                    "meta"):
@@ -127,22 +130,45 @@ def test_config_file_sits_between_defaults_and_flags(tmp_path, capsys):
     assert "wrote 6 graphs" in out
 
 
-def test_config_file_errors(tmp_path, capsys):
-    code = main(["synth", "--config", str(tmp_path / "nope.cfg")])
+@pytest.mark.parametrize("cmd", COMMANDS)
+def test_every_command_gets_its_resolved_config(cmd, tmp_path, capsys,
+                                                monkeypatch):
+    # main resolves and prints the config once, then hands it over
+    seen = []
+    monkeypatch.setattr(cli, f"cmd_{cmd}", lambda cfg: seen.append(cfg) or 0)
+    key = COMMANDS[cmd]
+    argv = [cmd]
+    if key:
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"{key}=7\n")
+        argv += ["--config", str(cfg_file)]
+    assert main(argv) == 0
+    cfg, = seen
+    assert key is None or cfg[key] == 7
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"resolved config ({cmd}):"
+    assert [ln.split("=")[0].strip() for ln in lines[1:]] == sorted(cfg)
+
+
+@pytest.mark.parametrize("cmd", COMMANDS)
+def test_config_file_errors(cmd, tmp_path, capsys):
+    code = main([cmd, "--config", str(tmp_path / "nope.cfg")])
     assert code == 2
     assert "does not exist" in capsys.readouterr().err
 
     bad = tmp_path / "bad.cfg"
     bad.write_text("bogus=1\n")
-    assert main(["synth", "--config", str(bad)]) == 2
+    assert main([cmd, "--config", str(bad)]) == 2
     assert "unknown config keys: bogus" in capsys.readouterr().err
 
-    bad.write_text("count=abc\n")
-    assert main(["synth", "--config", str(bad)]) == 2
-    assert "config key count" in capsys.readouterr().err
+    key = COMMANDS[cmd]
+    if key:
+        bad.write_text(f"{key}=abc\n")
+        assert main([cmd, "--config", str(bad)]) == 2
+        assert f"config key {key}" in capsys.readouterr().err
 
     bad.write_text("count\n")
-    assert main(["synth", "--config", str(bad)]) == 2
+    assert main([cmd, "--config", str(bad)]) == 2
     assert "expected key=value" in capsys.readouterr().err
 
 

@@ -265,7 +265,7 @@ def test_accepted_noop_edit_keeps_the_mask_graph(monkeypatch):
     rng = np.random.default_rng(6)
     graphs = [random_graph(rng, n_max=7, dict_size=1) for _ in range(4)]
     engine = ForwardEngine(net)
-    trace = engine.forward_graphs(params, graphs, want_trace=True)
+    trace = engine.forward_graphs(params, graphs)
     logits = mask.edit_probs.edge_logits
     logits[:] = -60.0
     for u, v in ws.edges + ((3, 4),):

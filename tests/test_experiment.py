@@ -134,12 +134,6 @@ def test_train_rejects_dictionary_mismatch():
         ex.train(ds, split, wrong, cfg)
 
 
-def test_train_with_invariant_checks():
-    ds, net, cfg, split = toy_setup(epochs=2, check_invariants=True)
-    _, rep = ex.train(ds, split, net, cfg)
-    assert len(rep.rows) == 2
-
-
 def test_cross_validate_statistics():
     ds, net, cfg, _ = toy_setup(epochs=1)
     res = ex.cross_validate(ds, net, cfg, folds=3)

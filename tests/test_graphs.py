@@ -192,8 +192,7 @@ def test_builders():
 
 
 def test_label_dictionary():
-    d = LabelDictionary(3)
-    assert d.valid(0) and d.valid(2) and not d.valid(3)
+    assert LabelDictionary(3).size == 3
     with pytest.raises(GraphError):
         LabelDictionary(0)
 

@@ -205,25 +205,30 @@ def test_engine_unfitted_codebook_raises_in_eval_mode():
         network_forward(net, params, graphs[0])
 
 
-def test_engine_trace_responses_match_kernel_matrix():
+@pytest.mark.parametrize("normalized", [True, False],
+                         ids=["normalized", "raw"])
+@pytest.mark.parametrize("l", [0, 1], ids=["layer0", "deep"])
+@pytest.mark.parametrize("kind", [WL_SUBTREE, GRAPHLET3])
+def test_engine_trace_responses_match_kernel_matrix(kind, l, normalized):
+    # every kind's rows and mask statistic, at layer 0 and behind a
+    # passthrough junction, through the one column
     rng = np.random.default_rng(9)
-    for kernel in (WL2, G3):
-        net = NetworkConfig(layers=(layer(num_masks=2, nodes=4, radius=1,
-                                          kernel=kernel, dict_size=2),),
-                            quantizer_k=())
-        params = make_params(net, rng)
-        graphs = [random_graph(rng, dict_size=2) for _ in range(5)]
-        trace = ForwardEngine(net).forward_graphs(params, graphs,
-                                                  want_trace=True)
-        lt = trace.layers[0]
-        probe = random_connected_graph(4, 2, rng)
-        got = lt.responses(probe)
-        egos = batch_egos(net, params, graphs, trace, 0)
-        want = kernel_matrix(kernel, egos, [probe])[:, 0]
-        assert np.array_equal(got, want)
-        # before-matrix equals the per-mask responses too
-        for i, mk in enumerate(params.masks[0]):
-            assert np.array_equal(lt.before[:, i], lt.responses(mk.graph))
+    kernel = KernelConfig(kind=kind, wl_iterations=2, normalized=normalized)
+    net = NetworkConfig(layers=(layer(num_masks=2, nodes=4, radius=1,
+                                      kernel=kernel, dict_size=2),) * (l + 1),
+                        quantizer_k=(None,) * l)
+    params = make_params(net, rng)
+    graphs = [random_graph(rng, dict_size=2) for _ in range(5)]
+    trace = ForwardEngine(net).forward_graphs(params, graphs)
+    lt = trace.layers[l]
+    egos = batch_egos(net, params, graphs, trace, l)
+    masks = [mk.graph for mk in params.masks[l]]
+    assert np.array_equal(lt.before, kernel_matrix(kernel, egos, masks))
+    probe = random_connected_graph(4, 2, rng)
+    want = kernel_matrix(kernel, egos, [probe])[:, 0]
+    assert np.array_equal(lt.responses(probe), want)
+    for i, g in enumerate(masks):
+        assert np.array_equal(lt.before[:, i], lt.responses(g))
 
 
 def test_engine_keeps_only_current_mask_histograms():
@@ -238,7 +243,7 @@ def test_engine_keeps_only_current_mask_histograms():
     params.masks[0][1] = old.replaced(random_connected_graph(4, 2, rng))
     second = engine.forward_graphs(params, graphs)
     current = tuple(mk.graph for mk in params.masks[0])
-    assert tuple(engine._banks[0]) == current
+    assert tuple(engine._stats[0]) == current
     assert engine._memo[0][0] == current
     assert np.array_equal(first.features[0][:, 0], second.features[0][:, 0])
 
@@ -394,9 +399,10 @@ def test_layer0_rows_stay_valid_when_a_later_batch_adds_colors():
     before = engine.forward_graphs(params, first).features
     mask_colors = set()
     for mk in params.masks[0]:
-        mask_colors |= set(engine._banks[0][mk.graph][0].tolist())
+        (colors, _), _ = engine._stats[0][mk.graph]
+        mask_colors |= set(colors.tolist())
     seen = block_colors(engine, first)
-    trace = engine.forward_graphs(params, second, want_trace=True)
+    trace = engine.forward_graphs(params, second)
     fresh = block_colors(engine, second) - seen
     assert (fresh & mask_colors) - {0, 1, 2}  # refined mask colors reused
     for g, feat in zip(second, trace.features):
@@ -454,8 +460,7 @@ def assert_layer0_batch_exact(engine, net, params, graphs, probes,
     """One traced batch: features equal the per-graph reference bitwise
     (zero_cols blanked), and the responses closure equals kernel_matrix
     over the batch's egos for the masks and every probe."""
-    trace = engine.forward_graphs(params, graphs, zero_cols=zero_cols,
-                                  want_trace=True)
+    trace = engine.forward_graphs(params, graphs, zero_cols=zero_cols)
     for g, feat in zip(graphs, trace.features):
         if g.num_nodes == 0:
             assert feat.shape == (0, net.feature_dim)
@@ -548,22 +553,26 @@ def test_layer0_store_keeps_only_the_current_bank():
     net, params = layer0_net_and_masks()
     graphs = [random_graph(rng, n_max=8, dict_size=3) for _ in range(5)]
     engine = ForwardEngine(net)
-    trace = engine.forward_graphs(params, graphs, want_trace=True)
+    trace = engine.forward_graphs(params, graphs)
     current = tuple(mk.graph for mk in params.masks[0])
-    assert tuple(engine._banks[0]) == engine._memo[0][0] == current
+    assert tuple(engine._stats[0]) == engine._memo[0][0] == current
     candidates = [fixed_mask(paw([1, 1, 1, 1])),
                   fixed_mask(cycle_graph(4, [2, 2, 1, 1]))]
     scored = [trace.layers[0].responses(c.graph) for c in candidates]
-    # scoring candidates keeps nothing
-    assert tuple(engine._banks[0]) == engine._memo[0][0] == current
+    # scoring candidates keeps their statistics for the batch's edits
+    # and leaves the memo alone
+    assert engine._memo[0][0] == current
+    assert tuple(engine._stats[0]) == current + tuple(
+        c.graph for c in candidates)
     # the first candidate is accepted: the batch's column is the one it
-    # was scored with, and the replaced mask is released
+    # was scored with, and the replaced mask and the rejected candidate
+    # are released
     old = params.masks[0][0].graph
     params.masks[0][0] = candidates[0]
-    again = engine.forward_graphs(params, graphs, want_trace=True)
+    again = engine.forward_graphs(params, graphs)
     current = tuple(mk.graph for mk in params.masks[0])
-    assert tuple(engine._banks[0]) == engine._memo[0][0] == current
-    assert old not in engine._banks[0]
+    assert tuple(engine._stats[0]) == engine._memo[0][0] == current
+    assert old not in engine._stats[0]
     assert set(engine._memo[0][1]) == set(graphs)
     assert np.array_equal(again.layers[0].before[:, 0], scored[0])
     assert np.array_equal(again.layers[0].responses(candidates[1].graph),
@@ -585,7 +594,7 @@ def assert_deep_layer_exact(net, params, graphs, probes, fit=False):
                               fit_rng=np.random.default_rng(0))
     with mock.patch.object(model, "refine_union",
                            wraps=model.refine_union) as spy:
-        trace = engine.forward_graphs(params, graphs, want_trace=True)
+        trace = engine.forward_graphs(params, graphs)
     assert spy.call_count == 0 or not fit
     for g, feat in zip(graphs, trace.features):
         assert np.array_equal(feat, network_forward(net, params, g))
@@ -654,7 +663,7 @@ def test_deep_layer_one_node_graphs():
     assert_deep_layer_exact(net, params, lonely, probes)
     # no node at all: nothing to score, nothing to look up
     trace = ForwardEngine(net).forward_graphs(
-        params, [LabeledGraph(0, [], [])], want_trace=True)
+        params, [LabeledGraph(0, [], [])])
     assert trace.features[0].shape == (0, net.feature_dim)
     assert trace.layers[1].responses(probes[2]).shape == (0,)
 
@@ -740,7 +749,7 @@ def test_deep_layer_warm_batch_refines_nothing(monkeypatch, kernel, k):
     for a, b in zip(cold[3:] + cold[:2] + cold[4:5], warm):
         assert np.array_equal(a, b)
     # a warm trace builds nothing until its evaluator is called
-    trace = engine.forward_graphs(params, batch, want_trace=True)
+    trace = engine.forward_graphs(params, batch)
     with pytest.raises(AssertionError, match="refined a union"):
         trace.layers[1].responses(params.masks[1][0].graph)
 
@@ -843,7 +852,7 @@ def test_replaced_mask_graph_is_freed(kinds, l):
     graphs = [random_graph(rng, n_max=8, n_min=3, dict_size=2)
               for _ in range(6)]
     engine = ForwardEngine(net)
-    trace = engine.forward_graphs(params, graphs, want_trace=True)
+    trace = engine.forward_graphs(params, graphs)
     trace.layers[l].responses(path_graph(3, [0, 1, 0]))
     del trace
     old = weakref.ref(params.masks[l][0].graph)
@@ -854,9 +863,39 @@ def test_replaced_mask_graph_is_freed(kinds, l):
     gc.collect()
     assert old() is None
     bank, memo = engine._memo[l]
-    assert bank == tuple(engine._banks[l]) == tuple(
+    assert bank == tuple(engine._stats[l]) == tuple(
         mk.graph for mk in params.masks[l])
     assert set(memo) == set(graphs)
+
+
+@pytest.mark.parametrize("kinds,l", [
+    ((WL2,), 0), ((WL2, WL2), 1), ((WL3_RAW, WL3_RAW), 1), ((G3,), 0),
+    ((WL2, G3), 1)],
+    ids=["wl_layer0", "wl_deep", "wl_deep_raw", "graphlet3_layer0",
+         "graphlet3_deep"])
+def test_rejected_candidate_is_freed_after_the_next_batch(kinds, l):
+    # a scored candidate's statistic is kept until the next batch, in
+    # case it is accepted, and then released with the candidate
+    rng = np.random.default_rng(35)
+    net = NetworkConfig(
+        layers=tuple(layer(num_masks=2, nodes=4, radius=2, kernel=k,
+                           dict_size=2) for k in kinds),
+        quantizer_k=(None,) * (len(kinds) - 1))
+    params = make_params(net, rng)
+    graphs = [random_graph(rng, n_max=8, n_min=3, dict_size=2)
+              for _ in range(6)]
+    engine = ForwardEngine(net)
+    trace = engine.forward_graphs(params, graphs[:4])
+    probe = path_graph(3, [0, 1, 0])
+    trace.layers[l].responses(probe)
+    assert probe in engine._stats[l]
+    candidate = weakref.ref(probe)
+    del probe
+    trace = engine.forward_graphs(params, graphs[2:])
+    gc.collect()
+    assert candidate() is None
+    assert tuple(engine._stats[l]) == tuple(
+        mk.graph for mk in params.masks[l])
 
 
 def test_train_keeps_blocks_of_the_current_bank_only(monkeypatch):
@@ -882,7 +921,7 @@ def test_train_keeps_blocks_of_the_current_bank_only(monkeypatch):
     corpus = {id(g) for g in ds.graphs}
     for l, masks in enumerate(params.masks):
         bank, memo = engine._memo[l]
-        assert bank == tuple(engine._banks[l]) == tuple(
+        assert bank == tuple(engine._stats[l]) == tuple(
             mk.graph for mk in masks)
         assert {id(g) for g in memo} <= corpus
         assert len(memo) <= len(corpus)
@@ -945,7 +984,7 @@ def test_graphlet_rows_count_each_graph_once(monkeypatch):
     engine.forward_graphs(params, corpus[:5])
     # seen and new graphs, one of them twice
     batch = corpus[2:] + corpus[3:4] + corpus[:1]
-    trace = engine.forward_graphs(params, batch, want_trace=True)
+    trace = engine.forward_graphs(params, batch)
     assert counted == [sum(g.num_nodes for g in corpus[:5]),
                        sum(g.num_nodes for g in corpus[5:])]
     assert np.array_equal(engine._graphlet_rows(batch, 2),
@@ -980,7 +1019,7 @@ def test_graphlet_warm_batch_reads_no_rows(monkeypatch, kinds):
     warm = assert_forward_exact(engine, net, params, batch)
     for a, b in zip(cold[5:] + cold[:3] + cold[6:7], warm):
         assert np.array_equal(a, b)
-    trace = engine.forward_graphs(params, batch, want_trace=True)
+    trace = engine.forward_graphs(params, batch)
     with pytest.raises(AssertionError, match="read graphlet rows"):
         trace.layers[-1].responses(params.masks[-1][0].graph)
 
@@ -988,7 +1027,7 @@ def test_graphlet_warm_batch_reads_no_rows(monkeypatch, kinds):
 def test_mask_counts_kept_for_the_current_bank_only(monkeypatch):
     # graphlet3 vectors at layer 0 and WL norms at a deep layer: each
     # current mask is counted once while it stays in the bank, a candidate
-    # once per scoring
+    # once per batch that scores it, and not again once it is accepted
     rng = np.random.default_rng(25)
     graphs = [random_graph(rng, n_max=8, dict_size=2) for _ in range(5)]
     l0 = layer(num_masks=2, nodes=4, radius=1, kernel=G3, dict_size=2)
@@ -1010,22 +1049,23 @@ def test_mask_counts_kept_for_the_current_bank_only(monkeypatch):
     monkeypatch.setattr(WlColorTable, "refine", count_refine)
     engine = ForwardEngine(net)
     engine.forward_graphs(params, graphs[:3])
-    trace = engine.forward_graphs(params, graphs, want_trace=True)
+    trace = engine.forward_graphs(params, graphs)
     assert vectors == [mk.graph for mk in params.masks[0]]
     assert refined == [mk.graph for mk in params.masks[1]]
     probe = path_graph(3, [0, 1, 1])
+    accepted = fixed_mask(paw([1, 0, 0, 1]))
     for lt in trace.layers:
-        lt.responses(probe)
-        lt.responses(probe)
-    assert vectors[2:] == refined[3:] == [probe, probe]
+        for _ in range(2):
+            lt.responses(probe)
+            lt.responses(accepted.graph)
+    assert vectors[2:] == refined[3:] == [probe, accepted.graph]
     old = params.masks[1][2].graph
-    params.masks[1][2] = fixed_mask(paw([1, 0, 0, 1]))
-    trace = engine.forward_graphs(params, graphs, want_trace=True)
-    assert refined[5:] == [params.masks[1][2].graph]
-    assert len(vectors) == 4
-    assert list(engine._banks[1]) == [mk.graph for mk in params.masks[1]]
-    assert old not in engine._banks[1]
-    assert engine._memo[1][0] == tuple(engine._banks[1])
+    params.masks[1][2] = accepted
+    trace = engine.forward_graphs(params, graphs)
+    assert len(refined) == 5 and len(vectors) == 4
+    assert list(engine._stats[1]) == [mk.graph for mk in params.masks[1]]
+    assert old not in engine._stats[1]
+    assert engine._memo[1][0] == tuple(engine._stats[1])
     for g, feat in zip(graphs, trace.features):
         assert np.array_equal(feat, network_forward(net, params, g))
 
