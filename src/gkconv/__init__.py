@@ -9,16 +9,14 @@ layers, and a small MLP over sum-pooled features does the classifying.
 from .graphs import (EgoSubgraph, GraphError, LabelDictionary, LabeledGraph,
                      connected_components, ego_subgraph, to_dot)
 from .kernels import (GRAPHLET3, WL_SUBTREE, KernelConfig, WlColorTable,
-                      kernel_eval, kernel_matrix, wl_indistinguishable,
-                      wl_subtree_kernel)
+                      kernel_matrix, wl_indistinguishable)
 from .quantizer import Codebook, CodebookStateError, assign, fit_update
 from .model import (ForwardEngine, LayerConfig, ModelParams, NetworkConfig,
                     StructuralMask)
 from .drd import (EditOperation, EditProbabilities, apply_edit,
                   drd_step_batched, init_mask_bank, sample_edit)
-from .head import (LossReport, MlpParams, Readout, accuracy, backward,
-                   batch_loss, gradients, init_mlp, jsd_grad, jsd_loss,
-                   readout)
+from .head import (LossReport, MlpParams, Readout, batch_loss, gradients,
+                   init_mlp, jsd_grad, jsd_loss, readout)
 from .data import (GraphDataset, MotifSpec, Split, fetch_benchmark,
                    generate_motif_dataset, generate_triangle_cycle_dataset,
                    load_benchmark, make_motif, save_benchmark,

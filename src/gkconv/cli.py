@@ -218,12 +218,6 @@ def _load_dataset(cfg, cmd):
         raise UsageError(str(e)) from e
 
 
-def _layer_kernel(cfg):
-    return KernelConfig(kind=_kernel_kind(cfg["kernel"]),
-                        wl_iterations=cfg["wl_iters"],
-                        normalized=not cfg["raw"])
-
-
 def _train_config(cfg):
     return experiment.TrainConfig(
         epochs=cfg["epochs"], batch_size=cfg["batch"],
@@ -232,14 +226,18 @@ def _train_config(cfg):
         seed=cfg["seed"], hidden=cfg["hidden"])
 
 
+def _network(cfg):
+    """build_network's keyword arguments from the model options; train,
+    cv and grid all describe their networks with it."""
+    return dict(num_masks=cfg["masks"], mask_nodes=cfg["mask_nodes"],
+                radius=cfg["radius"], num_layers=cfg["layers"],
+                kernel_kind=_kernel_kind(cfg["kernel"]),
+                wl_iterations=cfg["wl_iters"], normalized=not cfg["raw"],
+                quantizer_k=cfg["quantizer_k"])
+
+
 def _train_pieces(cfg, ds):
-    kernel = _layer_kernel(cfg)
-    net = experiment.build_network(
-        ds.dictionary.size, num_masks=cfg["masks"],
-        mask_nodes=cfg["mask_nodes"], radius=cfg["radius"],
-        num_layers=cfg["layers"], kernel_kind=kernel.kind,
-        wl_iterations=kernel.wl_iterations, normalized=kernel.normalized,
-        quantizer_k=cfg["quantizer_k"])
+    net = experiment.build_network(ds.dictionary.size, **_network(cfg))
     return net, _train_config(cfg)
 
 
@@ -296,10 +294,10 @@ def cmd_grid(cfg):
     tc = _train_config(cfg)
     out_dir = _out_dir(cfg)
     result = experiment.grid_search(
-        ds, tc, masks_grid=cfg["grid_masks"], nodes_grid=cfg["grid_nodes"],
-        radius_grid=cfg["grid_radius"], layers_grid=cfg["grid_layers"],
-        kernel=_layer_kernel(cfg), quantizer_k=cfg["quantizer_k"],
-        sample=cfg["sample"], jobs=cfg["jobs"],
+        ds, tc, _network(cfg), masks_grid=cfg["grid_masks"],
+        nodes_grid=cfg["grid_nodes"], radius_grid=cfg["grid_radius"],
+        layers_grid=cfg["grid_layers"], sample=cfg["sample"],
+        jobs=cfg["jobs"],
         out_csv=out_dir / "leaderboard.csv")
     print(f"ran {len(result.rows)} configurations")
     print("best:", {k: result.best[k]

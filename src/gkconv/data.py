@@ -18,8 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .graphs import (GraphError, LabeledGraph, LabelDictionary, cycle_graph,
-                     complete_graph, disjoint_union)
+from .graphs import (LabeledGraph, LabelDictionary, complete_graph,
+                     cycle_graph, disjoint_union)
 
 DOWNLOAD_URL = "https://www.chrsmrrs.com/graphkerneldatasets"
 
@@ -251,7 +251,7 @@ def _meta_lines(ds: GraphDataset):
     return lines
 
 
-def fetch_benchmark(name: str, root, url: str = DOWNLOAD_URL) -> Path:
+def fetch_benchmark(name: str, root) -> Path:
     """Download and unpack a benchmark zip into root/name/.
 
     Needs outbound network access; on sandboxed machines download the
@@ -259,7 +259,7 @@ def fetch_benchmark(name: str, root, url: str = DOWNLOAD_URL) -> Path:
     """
     target = Path(root)
     target.mkdir(parents=True, exist_ok=True)
-    full = f"{url}/{name}.zip"
+    full = f"{DOWNLOAD_URL}/{name}.zip"
     try:
         with urllib.request.urlopen(full, timeout=60) as resp:
             payload = resp.read()
@@ -282,6 +282,10 @@ def fetch_benchmark(name: str, root, url: str = DOWNLOAD_URL) -> Path:
 # synthetic corpora
 
 MOTIF_KINDS = ("ring", "wheel", "grid", "ladder", "cliques")
+# motif corpora: node budget per graph, background edge probability and
+# the chance that a background node is wired to the planted core
+N_LO, N_HI = 30, 50
+P_BACKGROUND, P_ATTACH = 0.1, 0.02
 
 
 @dataclass(frozen=True)
@@ -351,17 +355,14 @@ def _random_edge_set(n: int, m: int, rng: np.random.Generator):
 
 
 def generate_motif_dataset(spec: MotifSpec, count: int,
-                           rng: np.random.Generator,
-                           n_lo: int = 30, n_hi: int = 50,
-                           p_background: float = 0.1,
-                           p_attach: float = 0.02,
-                           name: str = None) -> GraphDataset:
-    """Balanced motif detection corpus built from positive/negative pairs.
+                           rng: np.random.Generator) -> GraphDataset:
+    """Balanced motif detection corpus built from positive/negative pairs,
+    named synth_<kind><size>.
 
-    Each pair draws one total node budget (uniform in [n_lo, n_hi]) and
-    one shared background graph (edge probability p_background). The
+    Each pair draws one total node budget (uniform in [N_LO, N_HI]) and
+    one shared background graph (edge probability P_BACKGROUND). The
     positive graph plants the motif and wires each background node, with
-    probability p_attach, to one uniformly drawn core node; the negative
+    probability P_ATTACH, to one uniformly drawn core node; the negative
     graph plants a random same-size impostor (same node and edge count
     as the motif), wired the same way. Most cores therefore stay loosely
     attached or detached, which keeps their ego subgraphs clean enough
@@ -372,22 +373,22 @@ def generate_motif_dataset(spec: MotifSpec, count: int,
         raise DatasetError("count must be a positive even number")
     motif = make_motif(spec)
     k = motif.num_nodes
-    if k + 1 > n_lo:
-        raise DatasetError(
-            f"motif has {k} nodes; raise n_lo above {k}")
+    if k + 1 > N_LO:
+        raise DatasetError(f"motif has {k} nodes, too many for the "
+                           f"{N_LO}-{N_HI} node budget")
     graphs = []
     labels = []
     pairs_meta = []
     for pair in range(count // 2):
-        total = int(rng.integers(n_lo, n_hi + 1))
+        total = int(rng.integers(N_LO, N_HI + 1))
         b = total - k
-        background = _er_edges(b, p_background, rng)
+        background = _er_edges(b, P_BACKGROUND, rng)
 
         def build(core: LabeledGraph):
             edges = list(core.edges)
             edges += [(k + u, k + v) for u, v in background]
             for bnode in range(b):
-                if rng.random() < p_attach:
+                if rng.random() < P_ATTACH:
                     edges.append((int(rng.integers(k)), k + bnode))
             return LabeledGraph(k + b, edges, [0] * (k + b))
 
@@ -402,16 +403,16 @@ def generate_motif_dataset(spec: MotifSpec, count: int,
         graphs.extend([pos, neg])
         labels.extend([1, 0])
     return GraphDataset(
-        name=name or f"synth_{spec.kind}{spec.size}",
+        name=f"synth_{spec.kind}{spec.size}",
         graphs=graphs, labels=labels, dictionary=LabelDictionary(1),
         num_classes=2,
         extras={"motif": spec, "pairs": pairs_meta})
 
 
-def generate_triangle_cycle_dataset(count: int, rng: np.random.Generator,
-                                    pendant_prob: float = 0.5) -> GraphDataset:
+def generate_triangle_cycle_dataset(count: int,
+                                    rng: np.random.Generator) -> GraphDataset:
     """Toy corpus of two disjoint triangles (class 0) vs one six-cycle
-    (class 1), optionally decorated with a single pendant node. Refined
+    (class 1); a coin flip decorates each with one pendant node. Refined
     node colors cannot tell the two cores apart, kernel responses against
     a triangle mask can."""
     if count < 2 or count % 2:
@@ -422,7 +423,7 @@ def generate_triangle_cycle_dataset(count: int, rng: np.random.Generator,
         cls = i % 2
         core = cycle_graph(6) if cls else disjoint_union(cycle_graph(3),
                                                          cycle_graph(3))
-        if rng.random() < pendant_prob:
+        if rng.random() < 0.5:
             attach = int(rng.integers(core.num_nodes))
             core = LabeledGraph(core.num_nodes + 1,
                                 list(core.edges) + [(attach, core.num_nodes)],
@@ -520,17 +521,15 @@ def split_kfold(ds: GraphDataset, folds: int,
     return splits
 
 
-def split_holdout(ds: GraphDataset, rng: np.random.Generator,
-                  val_frac: float = 0.1, test_frac: float = 0.1) -> Split:
-    """One stratified train/val/test split (default 80/10/10)."""
-    if not 0 < val_frac + test_frac < 1:
-        raise DatasetError("val_frac + test_frac must sit inside (0, 1)")
-    n = len(ds)
+def split_holdout(ds: GraphDataset, rng: np.random.Generator) -> Split:
+    """One stratified 80/10/10 train/val/test split: val and test each
+    take a tenth of the corpus, and at least one graph."""
+    part = max(1, round(len(ds) * 0.1))
     per_class = _by_class(ds)
     counts = [len(c) for c in per_class]
-    test_counts = _allocate(counts, max(1, round(n * test_frac)))
+    test_counts = _allocate(counts, part)
     val_counts = _allocate([c - t for c, t in zip(counts, test_counts)],
-                           max(1, round(n * val_frac)))
+                           part)
     train, val, test = [], [], []
     for idxs, tc, vc in zip(per_class, test_counts, val_counts):
         order = np.array(idxs, dtype=np.int64)

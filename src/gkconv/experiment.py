@@ -6,7 +6,6 @@ import copy
 import csv
 import math
 import time
-import warnings
 from dataclasses import dataclass, field, replace
 from itertools import product
 from multiprocessing import get_context
@@ -266,6 +265,15 @@ class CvResult:
     reports: list
 
 
+def _run_all(fn, tasks, jobs: int) -> list:
+    """fn of every task, in order: serially when jobs <= 1, otherwise in
+    a pool of up to jobs spawned worker processes."""
+    if jobs <= 1:
+        return [fn(t) for t in tasks]
+    with get_context("spawn").Pool(min(jobs, len(tasks))) as pool:
+        return pool.map(fn, tasks)
+
+
 def _run_fold(args):
     ds, net, cfg, split = args
     _, report = train(ds, split, net, cfg)
@@ -279,11 +287,7 @@ def cross_validate(ds: GraphDataset, net: NetworkConfig, cfg: TrainConfig,
     splits = split_kfold(ds, folds, stream(cfg.seed, "splits"))
     tasks = [(ds, net, replace(cfg, seed=derive_seed(cfg.seed, f)), s)
              for f, s in enumerate(splits)]
-    if jobs > 1:
-        with get_context("spawn").Pool(min(jobs, len(tasks))) as pool:
-            reports = pool.map(_run_fold, tasks)
-    else:
-        reports = [_run_fold(t) for t in tasks]
+    reports = _run_all(_run_fold, tasks, jobs)
     accs = [r.test_accuracy for r in reports]
     mean = float(np.mean(accs))
     stderr = float(np.std(accs, ddof=1) / math.sqrt(len(accs))) \
@@ -298,18 +302,9 @@ class GridResult:
     rows: list
 
 
-def _grid_combos(masks_grid, nodes_grid, radius_grid, layers_grid):
-    return [{"num_masks": m, "mask_nodes": d, "radius": r, "num_layers": L}
-            for m, d, r, L in product(masks_grid, nodes_grid, radius_grid,
-                                      layers_grid)]
-
-
 def _run_grid_combo(args):
-    ds, combo, cfg, split, kernel, quantizer_k = args
-    net = build_network(ds.dictionary.size, kernel_kind=kernel.kind,
-                        wl_iterations=kernel.wl_iterations,
-                        normalized=kernel.normalized,
-                        quantizer_k=quantizer_k, **combo)
+    ds, combo, cfg, split, network = args
+    net = build_network(ds.dictionary.size, **{**network, **combo})
     row = dict(combo)
     try:
         _, report = train(ds, split, net, cfg)
@@ -329,22 +324,24 @@ def _run_grid_combo(args):
     return row
 
 
-def grid_search(ds: GraphDataset, cfg: TrainConfig,
+def grid_search(ds: GraphDataset, cfg: TrainConfig, network: dict,
                 masks_grid=(8, 16, 32), nodes_grid=(6, 8),
                 radius_grid=(1, 2, 3), layers_grid=(1, 2, 3),
-                kernel: KernelConfig = KernelConfig(), quantizer_k: int = 0,
                 sample: int = 0, jobs: int = 1,
                 out_csv=None) -> GridResult:
     """Hyperparameter sweep over one holdout split.
 
-    Every candidate's layers use kernel, and its junctions quantize into
-    quantizer_k labels as in build_network.
+    network holds the build_network keyword arguments every candidate
+    shares; a candidate's num_masks, mask_nodes, radius and num_layers
+    replace the ones it names.
 
     Candidates are ranked by validation accuracy, then validation loss,
     then enumeration order. sample > 0 draws that many candidates
     without replacement instead of running the full grid.
     """
-    combos = _grid_combos(masks_grid, nodes_grid, radius_grid, layers_grid)
+    combos = [{"num_masks": m, "mask_nodes": d, "radius": r, "num_layers": L}
+              for m, d, r, L in product(masks_grid, nodes_grid, radius_grid,
+                                        layers_grid)]
     if sample:
         take_n = min(sample, len(combos))
         pick = stream(cfg.seed, "grid").choice(len(combos), size=take_n,
@@ -352,13 +349,9 @@ def grid_search(ds: GraphDataset, cfg: TrainConfig,
         combos = [combos[int(i)] for i in sorted(pick)]
     split = split_holdout(ds, stream(cfg.seed, "splits"))
     tasks = [(ds, combo, replace(cfg, seed=derive_seed(cfg.seed, 1000 + i)),
-              split, kernel, quantizer_k)
+              split, network)
              for i, combo in enumerate(combos)]
-    if jobs > 1:
-        with get_context("spawn").Pool(min(jobs, len(tasks))) as pool:
-            rows = pool.map(_run_grid_combo, tasks)
-    else:
-        rows = [_run_grid_combo(t) for t in tasks]
+    rows = _run_all(_run_grid_combo, tasks, jobs)
     order = sorted(range(len(rows)),
                    key=lambda i: (-rows[i]["val_acc"], rows[i]["val_loss"], i))
     ranked = [rows[i] for i in order]

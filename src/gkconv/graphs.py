@@ -139,15 +139,8 @@ def ego_subgraph(g: LabeledGraph, v: int, r: int) -> EgoSubgraph:
                 dist[w] = dist[u] + 1
                 queue.append(w)
     origin = tuple(sorted(dist))
-    local = {p: i for i, p in enumerate(origin)}
-    edges = []
-    for p in origin:
-        lp = local[p]
-        for w in g.adj[p]:
-            if w > p and w in local:
-                edges.append((lp, local[w]))
-    sub = LabeledGraph(len(origin), edges, [g.labels[p] for p in origin])
-    return EgoSubgraph(graph=sub, origin=origin, center=local[v])
+    return EgoSubgraph(graph=induced_subgraph(g, origin), origin=origin,
+                       center=origin.index(v))
 
 
 class EgoBalls(NamedTuple):

@@ -256,18 +256,5 @@ def batch_loss(p: MlpParams, features_list, ys, jsd_weight: float) -> LossReport
     return readout(p, features_list, ys, jsd_weight).loss
 
 
-def accuracy(p: MlpParams, features_list, ys) -> float:
-    """Share of graphs whose argmax class is their label."""
-    return readout(p, features_list, ys, 0.0).accuracy
-
-
-def backward(p: MlpParams, features_list, ys, jsd_weight: float):
-    """Gradients of the mean total loss: (MLP grad dict, list of d loss /
-    d features per graph); see gradients."""
-    r = readout(p, features_list, ys, jsd_weight)
-    grads, dx = gradients(r)
-    return grads, np.split(dx, r.offsets[1:-1])
-
-
 def mlp_update(p: MlpParams, grads: dict) -> None:
     p.opt.step({"W1": p.W1, "b1": p.b1, "W2": p.W2, "b2": p.b2}, grads)

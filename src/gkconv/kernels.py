@@ -1,8 +1,8 @@
 """Graph kernels over labeled graphs.
 
 Two kernels are provided behind one config type, and ``kernel_matrix``
-is the one evaluator of both for lists of graphs; ``kernel_eval`` and
-``wl_subtree_kernel`` are its single entries.
+is the one evaluator of both for lists of graphs; the value of one pair
+is ``kernel_matrix(cfg, [g1], [g2])[0, 0]``.
 
 * ``wl_subtree`` counts matching rooted subtree patterns via iterative
   color refinement. A signature (own color, sorted multiset of neighbor
@@ -232,18 +232,6 @@ def kernel_matrix(cfg: KernelConfig, left, right) -> np.ndarray:
         norms = np.sqrt(sq)
         safe_divide(out, np.outer(norms[:n], norms[k:]))
     return out
-
-
-def kernel_eval(cfg: KernelConfig, g1: LabeledGraph, g2: LabeledGraph) -> float:
-    """Kernel value of one pair under cfg, the single entry of
-    kernel_matrix; the normalized form is k12 / sqrt(k11 k22)."""
-    return float(kernel_matrix(cfg, [g1], [g2])[0, 0])
-
-
-def wl_subtree_kernel(g1: LabeledGraph, g2: LabeledGraph,
-                      iterations: int = 3) -> float:
-    """Unnormalized subtree kernel: dot of combined color histograms."""
-    return kernel_eval(KernelConfig(WL_SUBTREE, iterations, False), g1, g2)
 
 
 _KEY_MAX = int(np.iinfo(np.int64).max)

@@ -90,15 +90,11 @@ def _reseed_empty(X, C, assign_idx):
 
 
 def _lloyd(X, C):
-    """Lloyd iterations in place; returns the inertia after each pass."""
-    trace = []
+    """Lloyd iterations on the centroids C, in place."""
     for _ in range(MAX_ITER):
-        d2 = _pairwise_sq(X, C)
-        idx = d2.argmin(axis=1)
+        idx = _pairwise_sq(X, C).argmin(axis=1)
         if _reseed_empty(X, C, idx):
-            d2 = _pairwise_sq(X, C)
-            idx = d2.argmin(axis=1)
-        trace.append(float(d2[np.arange(X.shape[0]), idx].sum()))
+            idx = _pairwise_sq(X, C).argmin(axis=1)
         new = C.copy()
         for c in range(C.shape[0]):
             mask = idx == c
@@ -109,7 +105,6 @@ def _lloyd(X, C):
         scale = float(np.sqrt((C * C).sum(axis=1)).max())
         if shift <= TOL * max(scale, 1.0):
             break
-    return trace
 
 
 def fit_update(cb: Codebook, X: np.ndarray,

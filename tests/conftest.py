@@ -1,4 +1,5 @@
-"""Shared helpers: random graph soup and networkx conversion.
+"""Shared helpers: random graph soup, one-pair kernel values, per-graph
+head gradients and networkx conversion.
 
 networkx is used purely as an independent oracle (isomorphism, ego
 nets, components); the package itself never imports it.
@@ -11,6 +12,8 @@ import numpy as np
 import pytest
 
 from gkconv.graphs import LabeledGraph
+from gkconv.head import gradients, readout
+from gkconv.kernels import kernel_matrix
 
 
 def random_graph(rng, n_max=8, dict_size=3, p=0.35, n_min=1):
@@ -19,6 +22,18 @@ def random_graph(rng, n_max=8, dict_size=3, p=0.35, n_min=1):
              if rng.random() < p]
     labels = rng.integers(0, dict_size, size=n).tolist()
     return LabeledGraph(n, edges, labels)
+
+
+def kernel_value(kc, g1, g2):
+    """The kernel value of one pair, the single entry of kernel_matrix."""
+    return kernel_matrix(kc, [g1], [g2])[0, 0]
+
+
+def graph_gradients(p, feats, ys, jsd_weight):
+    """The head's MLP gradients, and d loss / d features split per graph."""
+    r = readout(p, feats, ys, jsd_weight)
+    grads, dx = gradients(r)
+    return grads, np.split(dx, r.offsets[1:-1])
 
 
 def to_nx(g):

@@ -26,15 +26,15 @@ from gkconv.data import (DatasetNotFoundError, MotifSpec,
                          make_motif, split_holdout)
 from gkconv.drd import EditProbabilities
 from gkconv.graphs import complete_graph, cycle_graph, disjoint_union
-from gkconv.head import backward, batch_loss, init_mlp, jsd_loss
+from gkconv.head import batch_loss, init_mlp, jsd_loss
 from gkconv.kernels import (GRAPHLET3, WL_SUBTREE, KernelConfig,
-                            graphlet3_vector, kernel_eval, kernel_matrix,
-                            wl_indistinguishable, wl_subtree_kernel)
+                            graphlet3_vector, kernel_matrix,
+                            wl_indistinguishable)
 from gkconv.model import ForwardEngine, StructuralMask, random_connected_graph
 from gkconv.quantizer import Codebook, fit_update
 from gkconv.rng import stream
 
-from conftest import random_graph, to_nx
+from conftest import graph_gradients, kernel_value, random_graph, to_nx
 from test_kernels import wl_oracle
 from test_optim_head import numeric_grad, rel_err
 
@@ -139,8 +139,10 @@ def test_c01_wl_kernel_matches_bruteforce_oracle():
         g1 = random_graph(rng)  # n <= 8, labels from a 3-symbol alphabet
         g2 = random_graph(rng)
         for h in (1, 2, 3):
-            assert wl_subtree_kernel(g1, g2, iterations=h) == \
-                wl_oracle(g1, g2, h), (g1, g2, h)
+            raw = KernelConfig(kind=WL_SUBTREE, wl_iterations=h,
+                               normalized=False)
+            assert kernel_value(raw, g1, g2) == wl_oracle(g1, g2, h), \
+                (g1, g2, h)
             checked += 1
     elapsed = time.monotonic() - t0
     assert elapsed < 10.0, f"oracle sweep took {elapsed:.1f}s"
@@ -171,15 +173,15 @@ def test_c02_kernel_axioms():
             else (lambda: random_graph(rng))
         for _ in range(50):
             g1, g2 = draw(), draw()
-            assert kernel_eval(raw, g1, g2) == kernel_eval(raw, g2, g1)
-            assert kernel_eval(norm, g1, g2) == kernel_eval(norm, g2, g1)
+            assert kernel_value(raw, g1, g2) == kernel_value(raw, g2, g1)
+            assert kernel_value(norm, g1, g2) == kernel_value(norm, g2, g1)
             perm = [int(p) for p in rng.permutation(g1.num_nodes)]
-            assert kernel_eval(raw, g1.permuted(perm), g2) == \
-                kernel_eval(raw, g1, g2)
-            assert kernel_eval(norm, g1.permuted(perm), g2) == \
-                kernel_eval(norm, g1, g2)
+            assert kernel_value(raw, g1.permuted(perm), g2) == \
+                kernel_value(raw, g1, g2)
+            assert kernel_value(norm, g1.permuted(perm), g2) == \
+                kernel_value(norm, g1, g2)
             worst_self = max(worst_self,
-                             abs(kernel_eval(norm, g1, g1) - 1.0))
+                             abs(kernel_value(norm, g1, g1) - 1.0))
         graphs = [draw() for _ in range(10)]
         for cfg in (raw, norm):
             gram = kernel_matrix(cfg, graphs, graphs)
@@ -309,7 +311,7 @@ def test_c05_backward_matches_finite_differences():
         def total():
             return batch_loss(params, feats, ys, jsd_weight).total
 
-        grads, dxs = backward(params, feats, ys, jsd_weight)
+        grads, dxs = graph_gradients(params, feats, ys, jsd_weight)
         for name, arr in (("W1", params.W1), ("b1", params.b1),
                           ("W2", params.W2), ("b2", params.b2)):
             err = rel_err(grads[name], numeric_grad(total, arr))
@@ -379,10 +381,10 @@ def test_c08_ring_benchmark_and_mask_recovery():
     top_mask = params.masks[top["layer"]][top["mask"]].graph
     motif = make_motif(spec)
     kc = KernelConfig(kind=WL_SUBTREE, wl_iterations=3, normalized=True)
-    top_sim = kernel_eval(kc, top_mask, motif)
+    top_sim = kernel_value(kc, top_mask, motif)
     rand_rng = stream(cfg.seed, "masks", 12345)
     rand_med = float(np.median(
-        [kernel_eval(kc, random_connected_graph(6, 1, rand_rng), motif)
+        [kernel_value(kc, random_connected_graph(6, 1, rand_rng), motif)
          for _ in range(100)]))
     elapsed = time.monotonic() - t0
 

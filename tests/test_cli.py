@@ -263,6 +263,39 @@ def test_grid_passes_raw_and_quantizer_k(corpus, tmp_path, monkeypatch):
     assert seen[0]["wl_iterations"] == 1
 
 
+def test_train_cv_and_grid_build_one_network(corpus, tmp_path, monkeypatch):
+    # one option set: train, cv and grid hand build_network the same
+    # keyword arguments, apart from the four a grid sweeps
+    seen, build = [], experiment.build_network
+
+    def spy(*args, **kw):
+        seen.append(kw)
+        return build(*args, **kw)
+    monkeypatch.setattr(experiment, "build_network", spy)
+    opts = ["--data", str(corpus), "--name", "triangle_cycle",
+            "--kernel", "graphlet3", "--raw", "true", "--quantizer-k", "3",
+            "--wl-iters", "2", "--masks", "2", "--mask-nodes", "3",
+            "--radius", "1", "--layers", "2", "--epochs", "1",
+            "--batch", "4"]
+    extra = {"train": [], "cv": ["--folds", "2"],
+             "grid": ["--grid-masks", "3", "--grid-nodes", "4",
+                      "--grid-radius", "2", "--grid-layers", "1"]}
+    got = {}
+    for cmd, more in extra.items():
+        del seen[:]
+        code, _ = run([cmd, *opts, *more, "--out", str(tmp_path / cmd)])
+        assert code == 0 and len(seen) == 1
+        got[cmd] = seen[0]
+    swept = ("num_masks", "mask_nodes", "radius", "num_layers")
+    assert got["train"] == got["cv"] == {
+        "num_masks": 2, "mask_nodes": 3, "radius": 1, "num_layers": 2,
+        "kernel_kind": "graphlet3", "wl_iterations": 2, "normalized": False,
+        "quantizer_k": 3}
+    assert {k: v for k, v in got["grid"].items() if k not in swept} == \
+        {k: v for k, v in got["train"].items() if k not in swept}
+    assert [got["grid"][k] for k in swept] == [3, 4, 2, 1]
+
+
 def test_expressiveness_command(capsys):
     assert main(["expressiveness"]) == 0
     assert "[PASS]" in capsys.readouterr().out

@@ -135,8 +135,7 @@ def test_dataset_validation():
 
 def test_save_load_roundtrip_keeps_graphs_and_meta(tmp_path):
     spec = MotifSpec(kind="ring", size=5)
-    ds = generate_motif_dataset(spec, 6, np.random.default_rng(0),
-                                n_lo=10, n_hi=14)
+    ds = generate_motif_dataset(spec, 6, np.random.default_rng(0))
     ds.extras["seed"] = 0
     out = save_benchmark(ds, tmp_path)
     assert out == tmp_path / ds.name
@@ -195,6 +194,8 @@ def test_generate_motif_dataset_structure():
     assert ds.labels == [1, 0] * 10
     assert ds.num_classes == 2 and ds.dictionary.size == 1
     assert ds.extras["motif"] == spec
+    assert ds.name == "synth_ring6"
+    assert all(30 <= g.num_nodes <= 50 for g in ds.graphs)
     motif_edges = set(motif.edges)
     for meta in ds.extras["pairs"]:
         pos = ds.graphs[meta["pos"]]
@@ -224,9 +225,8 @@ def test_generate_motif_dataset_validation():
         generate_motif_dataset(MotifSpec("ring", 6), 5, rng)
     with pytest.raises(DatasetError, match="even"):
         generate_motif_dataset(MotifSpec("ring", 6), 0, rng)
-    with pytest.raises(DatasetError, match="raise n_lo"):
-        generate_motif_dataset(MotifSpec("ring", 12), 2, rng,
-                               n_lo=12, n_hi=14)
+    with pytest.raises(DatasetError, match="30-50 node budget"):
+        generate_motif_dataset(MotifSpec("ring", 30), 2, rng)
 
 
 def test_triangle_cycle_dataset_cores():
@@ -301,9 +301,6 @@ def test_split_holdout_sizes_and_determinism():
     assert sum(ds.labels[i] for i in s.test) == 5
     again = split_holdout(ds, np.random.default_rng(5))
     assert s == again
-    with pytest.raises(DatasetError, match="inside"):
-        split_holdout(ds, np.random.default_rng(0), val_frac=0.6,
-                      test_frac=0.5)
 
 
 def test_take():

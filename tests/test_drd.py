@@ -12,12 +12,11 @@ from gkconv.drd import (DrdError, EditOperation, EditProbabilities,
                         init_structural_mask, pair_index, sample_edit,
                         update_probs)
 from gkconv.graphs import LabelDictionary, LabeledGraph, complete_graph
-from gkconv.kernels import (WL_SUBTREE, KernelConfig, kernel_eval,
-                            kernel_matrix)
+from gkconv.kernels import WL_SUBTREE, KernelConfig, kernel_matrix
 from gkconv import model
 from gkconv.model import (ForwardEngine, LayerConfig, ModelParams,
                           NetworkConfig, StructuralMask)
-from conftest import random_graph, to_nx
+from conftest import kernel_value, random_graph, to_nx
 
 EDGE = "edge"
 LABEL = "label"
@@ -297,8 +296,8 @@ def test_estimate_subgradient_matches_manual_sum():
     assert effective_change(mask, after)
     egos = [random_graph(rng, n_max=6, dict_size=2) for _ in range(8)]
     grads = rng.standard_normal(8)
-    want = sum(g * (kernel_eval(WL, e, after.graph)
-                    - kernel_eval(WL, e, mask.graph))
+    want = sum(g * (kernel_value(WL, e, after.graph)
+                    - kernel_value(WL, e, mask.graph))
                for e, g in zip(egos, grads))
     # a generator in the same state draws the same edit
     out, accepted, got = kernel_step(mask, egos, grads, EDGE,

@@ -8,7 +8,6 @@ import pytest
 import gkconv.experiment as ex
 from gkconv import head, model
 from gkconv.data import generate_triangle_cycle_dataset, split_holdout, take
-from gkconv.kernels import KernelConfig
 from gkconv.model import ForwardEngine
 from gkconv.quantizer import default_k
 from gkconv.rng import stream
@@ -155,9 +154,9 @@ def test_cross_validate_parallel_matches_serial():
 def test_grid_search_ranking_and_csv(tmp_path):
     ds, _, cfg, _ = toy_setup(epochs=1)
     out = tmp_path / "grid.csv"
-    res = ex.grid_search(ds, cfg, masks_grid=(2,), nodes_grid=(3,),
-                         radius_grid=(1,), layers_grid=(1, 2),
-                         kernel=KernelConfig(wl_iterations=1), out_csv=out)
+    res = ex.grid_search(ds, cfg, {"wl_iterations": 1}, masks_grid=(2,),
+                         nodes_grid=(3,), radius_grid=(1,),
+                         layers_grid=(1, 2), out_csv=out)
     assert len(res.rows) == 2
     assert res.best == res.rows[0]
     keys = [(-r["val_acc"], r["val_loss"]) for r in res.rows]
@@ -166,18 +165,17 @@ def test_grid_search_ranking_and_csv(tmp_path):
     header = out.read_text().splitlines()[0]
     for col in ("num_masks", "radius", "val_acc", "test_acc", "status"):
         assert col in header
-    sampled = ex.grid_search(ds, cfg, masks_grid=(2,), nodes_grid=(3,),
-                             radius_grid=(1,), layers_grid=(1, 2),
-                             kernel=KernelConfig(wl_iterations=1), sample=1)
+    sampled = ex.grid_search(ds, cfg, {"wl_iterations": 1}, masks_grid=(2,),
+                             nodes_grid=(3,), radius_grid=(1,),
+                             layers_grid=(1, 2), sample=1)
     assert len(sampled.rows) == 1
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_grid_search_marks_diverged_combos():
     ds, _, cfg, _ = toy_setup(epochs=1, mlp_lr=1e308)
-    res = ex.grid_search(ds, cfg, masks_grid=(2,), nodes_grid=(3,),
-                         radius_grid=(1,), layers_grid=(1,),
-                         kernel=KernelConfig(wl_iterations=1))
+    res = ex.grid_search(ds, cfg, {"wl_iterations": 1}, masks_grid=(2,),
+                         nodes_grid=(3,), radius_grid=(1,), layers_grid=(1,))
     assert res.rows[0]["status"] == "diverged"
     assert res.rows[0]["val_loss"] == math.inf
     assert math.isnan(res.rows[0]["test_acc"])

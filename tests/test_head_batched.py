@@ -11,10 +11,11 @@ import pytest
 
 from gkconv.data import MotifSpec, generate_motif_dataset, take
 from gkconv.experiment import TrainConfig, build_network, init_params
-from gkconv.head import (HeadError, accuracy, backward, batch_loss,
-                         gradients, init_mlp, jsd_grad, jsd_loss, readout)
+from gkconv.head import (HeadError, batch_loss, gradients, init_mlp,
+                         jsd_grad, jsd_loss, readout)
 from gkconv.model import ForwardEngine
 from gkconv.rng import stream
+from conftest import graph_gradients
 from oracle import cross_entropy, mlp_forward, pool_sum, predict, softmax
 
 _EPS = 1e-12
@@ -108,9 +109,9 @@ def assert_matches_reference(p, feats, ys, jsd_weight):
     rep = batch_loss(p, feats, ys, jsd_weight)
     assert bits(rep.cross_entropy) == bits(ce)
     assert bits(rep.jsd) == bits(jsd)
-    assert accuracy(p, feats, ys) == ref_accuracy(p, feats, ys)
+    assert readout(p, feats, ys, 0.0).accuracy == ref_accuracy(p, feats, ys)
     want_grads, want_dxs = ref_backward(p, feats, ys, jsd_weight)
-    grads, dxs = backward(p, feats, ys, jsd_weight)
+    grads, dxs = graph_gradients(p, feats, ys, jsd_weight)
     assert list(grads) == list(want_grads)
     for name in want_grads:
         assert grads[name].shape == want_grads[name].shape
@@ -168,7 +169,7 @@ def test_zero_response_columns_match_reference_bitwise():
              responses(rng, 2, 4)]
     ys = [0, 1, 1, 0, 1]
     assert_matches_reference(p, feats, ys, 1e-4)
-    _, dxs = backward(p, feats, ys, 1e-4)
+    _, dxs = graph_gradients(p, feats, ys, 1e-4)
     # a zero column gets no penalty gradient, only the pooled-sum path
     assert np.all(dxs[0][:, 1] == dxs[0][0, 1])
 
@@ -201,8 +202,8 @@ def test_head_errors():
     p = init_mlp(2, 3, 3, rng)
     X = rng.uniform(0.1, 1.0, size=(4, 2))
     calls = (lambda f, y: batch_loss(p, f, y, 1e-4),
-             lambda f, y: accuracy(p, f, y),
-             lambda f, y: backward(p, f, y, 1e-4),
+             lambda f, y: readout(p, f, y, 0.0).accuracy,
+             lambda f, y: graph_gradients(p, f, y, 1e-4),
              lambda f, y: readout(p, f, y, 1e-4))
     bad = [([X, np.zeros((0, 2))], [0, 1]),        # a 0-node graph
            ([X, -X], [0, 1]),                      # negative responses

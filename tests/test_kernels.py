@@ -14,9 +14,8 @@ from gkconv.graphs import (LabeledGraph, complete_graph, cycle_graph,
                            disjoint_union, path_graph, star_graph)
 from gkconv.kernels import (GRAPHLET3, WL_SUBTREE, KernelConfig, KernelError,
                             WlColorTable, _key_span, graphlet3_vector,
-                            kernel_eval, kernel_matrix, refine_union,
-                            wl_indistinguishable, wl_subtree_kernel)
-from conftest import random_graph
+                            kernel_matrix, refine_union, wl_indistinguishable)
+from conftest import kernel_value, random_graph
 
 K3 = complete_graph(3)
 P3 = path_graph(3)
@@ -53,13 +52,14 @@ def graphlet_oracle(g):
 
 
 def test_wl_kernel_frozen_values():
-    assert wl_subtree_kernel(K3, P3, iterations=1) == 12.0
-    assert wl_subtree_kernel(K3, K3, iterations=1) == 18.0
-    assert wl_subtree_kernel(P3, P3, iterations=1) == 14.0
+    raw = KernelConfig(kind=WL_SUBTREE, wl_iterations=1, normalized=False)
+    assert kernel_value(raw, K3, P3) == 12.0
+    assert kernel_value(raw, K3, K3) == 18.0
+    assert kernel_value(raw, P3, P3) == 14.0
     e = LabeledGraph(2, [(0, 1)], [0, 0])
-    assert wl_subtree_kernel(e, e, iterations=1) == 8.0
+    assert kernel_value(raw, e, e) == 8.0
     kc = KernelConfig(kind=WL_SUBTREE, wl_iterations=1, normalized=True)
-    got = kernel_eval(kc, K3, P3)
+    got = kernel_value(kc, K3, P3)
     assert abs(got - 12.0 / np.sqrt(252.0)) < 1e-15
 
 
@@ -69,7 +69,8 @@ def test_wl_kernel_equals_string_oracle():
         g1 = random_graph(rng)
         g2 = random_graph(rng)
         h = int(rng.integers(1, 4))
-        assert wl_subtree_kernel(g1, g2, iterations=h) == wl_oracle(g1, g2, h)
+        raw = KernelConfig(kind=WL_SUBTREE, wl_iterations=h, normalized=False)
+        assert kernel_value(raw, g1, g2) == wl_oracle(g1, g2, h)
 
 
 def test_wl_label_outside_dictionary():
@@ -104,7 +105,7 @@ def test_graphlet_kernel_ignores_labels():
     g = cycle_graph(4)
     h = g.with_labels([1, 0, 1, 0])
     kc = KernelConfig(kind=GRAPHLET3, wl_iterations=1, normalized=False)
-    assert kernel_eval(kc, g, g) == kernel_eval(kc, h, h)
+    assert kernel_value(kc, g, g) == kernel_value(kc, h, h)
 
 
 @pytest.mark.parametrize("kind", [WL_SUBTREE, GRAPHLET3])
@@ -114,7 +115,7 @@ def test_kernel_symmetry(kind, normalized):
     kc = KernelConfig(kind=kind, wl_iterations=2, normalized=normalized)
     for _ in range(25):
         g1, g2 = random_graph(rng), random_graph(rng)
-        assert kernel_eval(kc, g1, g2) == kernel_eval(kc, g2, g1)
+        assert kernel_value(kc, g1, g2) == kernel_value(kc, g2, g1)
 
 
 @pytest.mark.parametrize("kind", [WL_SUBTREE, GRAPHLET3])
@@ -123,10 +124,10 @@ def test_kernel_isomorphism_invariance(kind):
     kc = KernelConfig(kind=kind, wl_iterations=3, normalized=True)
     base = random_graph(rng, n_max=7)
     probe = random_graph(rng, n_max=7)
-    want = kernel_eval(kc, base, probe)
+    want = kernel_value(kc, base, probe)
     for _ in range(50):
         perm = rng.permutation(base.num_nodes).tolist()
-        assert kernel_eval(kc, base.permuted(perm), probe) == want
+        assert kernel_value(kc, base.permuted(perm), probe) == want
 
 
 def test_normalized_self_kernel_is_one():
@@ -137,9 +138,9 @@ def test_normalized_self_kernel_is_one():
         done = 0
         while done < 20:
             g = random_graph(rng, n_max=8, n_min=3, p=0.5)
-            if kernel_eval(raw, g, g) <= 0:
+            if kernel_value(raw, g, g) <= 0:
                 continue  # no 3-node graphlets, nothing to normalize
-            assert abs(kernel_eval(norm, g, g) - 1.0) <= 1e-12
+            assert abs(kernel_value(norm, g, g) - 1.0) <= 1e-12
             done += 1
 
 
@@ -147,8 +148,8 @@ def test_normalized_zero_vector_guard():
     # a single node has no 3-node graphlets at all
     lonely = LabeledGraph(1, [], [0])
     kc = KernelConfig(kind=GRAPHLET3, wl_iterations=1, normalized=True)
-    assert kernel_eval(kc, lonely, K3) == 0.0
-    assert kernel_eval(kc, lonely, lonely) == 0.0
+    assert kernel_value(kc, lonely, K3) == 0.0
+    assert kernel_value(kc, lonely, lonely) == 0.0
 
 
 @pytest.mark.parametrize("kind", [WL_SUBTREE, GRAPHLET3])
@@ -199,7 +200,7 @@ def test_kernel_matrix_matches_pairwise_eval():
         assert mat.shape == (6, 4)
         for i, g1 in enumerate(left):
             for j, g2 in enumerate(right):
-                assert mat[i, j] == kernel_eval(kc, g1, g2)
+                assert mat[i, j] == kernel_value(kc, g1, g2)
 
 
 def test_wl_indistinguishable_cases():
@@ -256,7 +257,7 @@ def test_kernel_config_validation():
     with pytest.raises(KernelError):
         KernelConfig(kind=WL_SUBTREE, wl_iterations=0, normalized=True)
     with pytest.raises(KernelError):
-        wl_subtree_kernel(K3, P3, iterations=0)
+        KernelConfig(kind=WL_SUBTREE, wl_iterations=0, normalized=False)
 
 
 def _union_of(graphs):

@@ -5,10 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from gkconv.head import (HeadError, LossReport, accuracy, backward,
-                         batch_loss, init_mlp, jsd_grad, jsd_loss,
-                         mlp_update)
+from gkconv.head import (HeadError, LossReport, batch_loss, init_mlp,
+                         jsd_grad, jsd_loss, mlp_update, readout)
 from gkconv.optim import Adam
+from conftest import graph_gradients
 from oracle import cross_entropy, mlp_forward, pool_sum, predict, softmax
 
 
@@ -118,8 +118,8 @@ def test_accuracy():
     params = init_mlp(2, 4, 2, rng)
     feats = [np.ones((3, 2)), np.zeros((2, 2))]
     ys = [predict(params, pool_sum(X)) for X in feats]
-    assert accuracy(params, feats, ys) == 1.0
-    assert accuracy(params, feats, [1 - y for y in ys]) == 0.0
+    assert readout(params, feats, ys, 0.0).accuracy == 1.0
+    assert readout(params, feats, [1 - y for y in ys], 0.0).accuracy == 0.0
 
 
 # --- JSD loss ----------------------------------------------------------
@@ -223,7 +223,7 @@ def test_backward_matches_finite_differences():
         def total():
             return batch_loss(params, feats, ys, jsd_weight).total
 
-        grads, dxs = backward(params, feats, ys, jsd_weight)
+        grads, dxs = graph_gradients(params, feats, ys, jsd_weight)
         for name, arr in (("W1", params.W1), ("b1", params.b1),
                           ("W2", params.W2), ("b2", params.b2)):
             fd = numeric_grad(total, arr)
@@ -238,7 +238,7 @@ def test_backward_zero_output_weights_kill_feature_gradient():
     params = init_mlp(3, 4, 2, rng)
     params.W2[:] = 0.0
     X = rng.uniform(0.1, 1.0, size=(4, 3))
-    _, dxs = backward(params, [X], [1], jsd_weight=0.0)
+    _, dxs = graph_gradients(params, [X], [1], 0.0)
     assert np.allclose(dxs[0], 0.0)
 
 
