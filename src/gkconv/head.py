@@ -6,12 +6,14 @@ the exact formula): identical response columns are maximally redundant
 and penalized hardest, so masks are pushed to specialize. ``readout``
 runs the head once per batch and serves the loss, the accuracy and the
 gradients, which are computed by hand; everything is plain numpy.
+Elementwise steps run once over the batch's node rows; only sums over
+a graph's nodes run per node-count group, since numpy's summation order
+depends on the summed length. Every value is bitwise a per-graph loop's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -60,55 +62,70 @@ def _running_sum(a: np.ndarray, axis: int = 0) -> np.ndarray:
     return np.take(np.cumsum(a, axis=axis), -1, axis=axis) + 0.0
 
 
-class _Columns(NamedTuple):
-    """Column statistics of k stacked (n, m) response matrices."""
+class _Flat:
+    """A batch's (n_g, m) response matrices as one (N, m) matrix, graphs
+    stable-sorted by node count, and every graph's column statistics in
+    that order. numpy adds a contiguous axis pairwise, in a tree set by
+    its length, so node-axis sums run per node-count group on a (graphs,
+    n, columns) view laid out as each graph's own matrix; reduceat over
+    the batch, or zero padding, would add in another order."""
 
-    s: np.ndarray     # (k, m) column sums, which are also the pooled sums
-    zero: np.ndarray  # (k, m) all-zero columns
-    P: np.ndarray     # (k, n, m) column distributions
-    lp: np.ndarray    # (k, n, m) log P
-    q: np.ndarray     # (k, n) mean of each matrix's column distributions
-    lq: np.ndarray    # (k, n) log q
+    def __init__(self, mats):
+        sizes = [X.shape[0] for X in mats]
+        self.offsets = np.concatenate(([0], np.cumsum(sizes)))
+        self.order = np.argsort(sizes, kind="stable")
+        n = np.take(sizes, self.order)
+        X = np.concatenate([mats[i] for i in self.order.tolist()])
+        if (X < 0).any():
+            raise HeadError("kernel responses must be non-negative")
+        first = np.concatenate(([0], np.cumsum(n)))
+        at = np.flatnonzero(np.diff(n, prepend=-1, append=-1))
+        rows = first[at].tolist()
+        # (first row, end row, nodes) of each node-count group
+        self.groups = list(zip(rows, rows[1:], n[at[:-1]].tolist()))
+        # each row's graph, and its row in batch order
+        self.graph = np.repeat(np.arange(len(n)), n)
+        self.rows = np.arange(len(X)) + self.per_row(
+            self.offsets[self.order] - first[:-1])
+        self.s = self.node_sums(X)  # (b, m) column sums = pooled sums
+        zero = self.s <= 0.0
+        self.zero = self.per_row(zero)
+        self.den = self.per_row(np.where(zero, 1.0, self.s))
+        # an all-zero column, with no preference over nodes, is uniform
+        self.P = np.where(self.zero, self.per_row(1.0 / n)[:, None],
+                          X / self.den)
+        self.lp = np.log(np.maximum(self.P, _EPS))
+        q = self.P.mean(axis=1)
+        self.lq = np.log(np.maximum(q, _EPS))
+        # P log P of each column as a row, q log q as one more, so that
+        # one sum over contiguous node axes serves every entropy
+        m = X.shape[1]
+        terms = np.empty((m + 1, len(X)))
+        np.multiply(self.P.T, self.lp.T, out=terms[:m])
+        np.multiply(q, self.lq, out=terms[m])
+        e = self.node_sums(terms.T)
+        # -H(q) + sum_i H(P_i), column entropies added in column order
+        self.jsd = e[:, m] + _running_sum(-e[:, :m], axis=1)
 
+    def node_sums(self, A: np.ndarray) -> np.ndarray:
+        """Each graph's sums of the rows of A (N, c), (b, c) in sorted
+        order. A column of A that is contiguous in memory is summed
+        pairwise, a C-ordered A row by row, as on one graph's matrix."""
+        return np.concatenate([A[lo:hi].reshape(-1, n, A.shape[1]).sum(1)
+                               for lo, hi, n in self.groups])
 
-def _columns(X: np.ndarray) -> _Columns:
-    """Columns of X (k, n, m) normalized to distributions; all-zero
-    columns become uniform (their response carries no preference over
-    nodes). Every reduction runs over the same axis layout as it would
-    on one (n, m) matrix, so the values are bitwise those of k separate
-    calls."""
-    if (X < 0).any():
-        raise HeadError("kernel responses must be non-negative")
-    n = X.shape[1]
-    s = X.sum(axis=1)
-    zero = s <= 0.0
-    P = np.where(zero[:, None, :], 1.0 / n,
-                 X / np.where(zero, 1.0, s)[:, None, :])
-    q = P.mean(axis=2)
-    return _Columns(s, zero, P, np.log(np.maximum(P, _EPS)), q,
-                    np.log(np.maximum(q, _EPS)))
+    def per_row(self, a: np.ndarray) -> np.ndarray:
+        """Per-graph values (b, ...) in sorted order, one copy per row."""
+        return a.take(self.graph, axis=0)
 
-
-def _jsd(c: _Columns) -> np.ndarray:
-    """The redundancy penalty -H(q) + sum_i H(P_i) of each matrix, (k,).
-
-    Each column entropy sums over a contiguous node axis, as a 1-D
-    entropy would; the m column entropies are then added in column
-    order."""
-    neg_hq = (c.q * c.lq).sum(axis=1)
-    terms = np.ascontiguousarray((c.P * c.lp).transpose(0, 2, 1))
-    return neg_hq + _running_sum(-terms.sum(axis=2), axis=1)
-
-
-def _jsd_grad(c: _Columns) -> np.ndarray:
-    """d penalty / d X for each matrix, (k, n, m); all-zero columns are
-    flat plateaus of the penalty and get zero gradient."""
-    m = c.P.shape[2]
-    # dloss/dP[v,i], then projected through the column normalization
-    g = (c.lq[:, :, None] + 1.0) / m - (c.lp + 1.0)
-    inner = (g * c.P).sum(axis=1)
-    out = (g - inner[:, None, :]) / np.where(c.zero, 1.0, c.s)[:, None, :]
-    return np.where(c.zero[:, None, :], 0.0, out)
+    def penalty_grad(self) -> np.ndarray:
+        """d penalty / d X of every row, (N, m) in sorted order; all-zero
+        columns are flat plateaus of the penalty and get zero gradient."""
+        m = self.P.shape[1]
+        # dloss/dP[v,i], then projected through the column normalization
+        g = (self.lq[:, None] + 1.0) / m - (self.lp + 1.0)
+        out = (g - self.per_row(self.node_sums(g * self.P))) / self.den
+        return np.where(self.zero, 0.0, out)
 
 
 def _matrix(features) -> np.ndarray:
@@ -129,16 +146,12 @@ def jsd_loss(features: np.ndarray) -> float:
     peaked columns. It is minimal when the columns are as distinct and
     as peaked as possible, and zero for a single column.
     """
-    return float(_jsd(_columns(_matrix(features)[None]))[0])
+    return float(_Flat([_matrix(features)]).jsd[0])
 
 
 def jsd_grad(features: np.ndarray) -> np.ndarray:
-    """d jsd_loss / d features, same shape as features.
-
-    All-zero columns are flat plateaus of the loss surface and get zero
-    gradient.
-    """
-    return _jsd_grad(_columns(_matrix(features)[None]))[0]
+    """d jsd_loss / d features; all-zero columns get zero gradient."""
+    return _Flat([_matrix(features)]).penalty_grad()
 
 
 @dataclass(frozen=True)
@@ -158,8 +171,9 @@ class Readout:
 
     ``readout`` pools every graph, runs the MLP and derives the loss
     report and the accuracy from the one set of logits; ``gradients``
-    reuses the pass's activations, so call it before the MLP parameters
-    change.
+    reuses the pass's activations and ``flat``, so call it before the MLP
+    parameters change. Only node-axis sums ran per node-count group: the
+    count is all their summation order depends on.
     """
 
     loss: LossReport       # mean cross entropy and mean penalty
@@ -168,7 +182,7 @@ class Readout:
     ys: np.ndarray         # (b,) classes
     jsd_weight: float
     offsets: np.ndarray    # (b + 1,) first node of each graph
-    groups: list           # [(batch positions, _Columns)] per node count
+    flat: _Flat            # the batch's rows, sorted by node count
     pooled: np.ndarray     # (b, m)
     z1: np.ndarray         # (b, hidden) pre-activations
     a1: np.ndarray         # (b, hidden)
@@ -179,10 +193,10 @@ def readout(p: MlpParams, features_list, ys, jsd_weight: float) -> Readout:
     """One pass of the head over a batch: per-graph (n_g, m) response
     matrices and their classes.
 
-    Graphs are stacked by node count, so each reduction of a graph runs
-    over the same axis layout as on its own matrix, and the MLP runs as
-    one stacked matrix-vector product per graph: every value is bitwise
-    the one a graph-by-graph loop gives.
+    Elementwise steps run once over the flat batch (``_Flat``), node-axis
+    sums once per node-count group, whose length sets their float order,
+    and the MLP as one stacked matrix-vector product per graph: every
+    value is bitwise the one a graph-by-graph loop gives.
     """
     if len(features_list) != len(ys) or not features_list:
         raise HeadError("need matching, non-empty features and labels")
@@ -195,17 +209,9 @@ def readout(p: MlpParams, features_list, ys, jsd_weight: float) -> Readout:
     if bad.any():
         raise HeadError(f"class {ys[bad][0]} out of range")
     b = len(mats)
-    sizes = [X.shape[0] for X in mats]
-    offsets = np.concatenate(([0], np.cumsum(sizes)))
-    pooled = np.empty((b, in_dim))
-    jsd = np.empty(b)
-    groups = []
-    for n in sorted(set(sizes)):
-        pos = np.flatnonzero(np.equal(sizes, n))
-        c = _columns(np.stack([mats[i] for i in pos.tolist()]))
-        pooled[pos] = c.s
-        jsd[pos] = _jsd(c)
-        groups.append((pos, c))
+    f = _Flat(mats)
+    back = np.argsort(f.order)
+    pooled, jsd = f.s[back], f.jsd[back]
     z1 = (pooled[:, None, :] @ p.W1)[:, 0] + p.b1
     a1 = np.maximum(z1, 0.0)
     logits = (a1[:, None, :] @ p.W2)[:, 0] + p.b2
@@ -218,8 +224,8 @@ def readout(p: MlpParams, features_list, ys, jsd_weight: float) -> Readout:
                       jsd_weight=jsd_weight)
     # argmax gives exact logit ties to the smaller class id
     hits = int((logits.argmax(axis=1) == ys).sum())
-    return Readout(loss, hits / b, p, ys, jsd_weight, offsets, groups,
-                   pooled, z1, a1, e / total[:, None])
+    return Readout(loss, hits / b, p, ys, jsd_weight, f.offsets, f, pooled,
+                   z1, a1, e / total[:, None])
 
 
 def gradients(r: Readout):
@@ -231,7 +237,7 @@ def gradients(r: Readout):
     consumes. Batch sums run in batch order, as per-graph accumulation
     would.
     """
-    p, b = r.p, len(r.ys)
+    p, b, f = r.p, len(r.ys), r.flat
     dlogits = r.prob.copy()
     dlogits[np.arange(b), r.ys] -= 1.0
     dlogits /= b
@@ -241,13 +247,9 @@ def gradients(r: Readout):
              "W2": _running_sum(r.a1[:, :, None] * dlogits[:, None, :]),
              "b2": _running_sum(dlogits)}
     dpooled = (p.W1 @ dz1[:, :, None])[:, :, 0]
-    m = dpooled.shape[1]
-    dx = np.empty((int(r.offsets[-1]), m))
-    scale = r.jsd_weight / b
-    for pos, c in r.groups:
-        rows = (r.offsets[pos][:, None] + np.arange(c.P.shape[1])).ravel()
-        dx[rows] = (dpooled[pos][:, None, :]
-                    + scale * _jsd_grad(c)).reshape(-1, m)
+    dx = np.empty_like(f.P)
+    dx[f.rows] = (f.per_row(dpooled[f.order])
+                  + r.jsd_weight / b * f.penalty_grad())
     return grads, dx
 
 

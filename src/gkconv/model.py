@@ -346,14 +346,16 @@ class ForwardEngine:
         self._memo = {}      # layer -> (mask bank,
         #                      {graph: (input labels, (n, m) responses)})
 
-    def _responses(self, l: int, graphs, labels, mask_graphs, column):
-        """Layer l's (n, m) responses to the batch, whose flat input
-        labeling is labels; column is the layer's responses closure.
+    def _responses(self, l: int, graphs, slices, labels, mask_graphs,
+                   column):
+        """Layer l's (n, m) responses to the batch, its graphs at row
+        slices of the flat input labels, from the responses closure column.
 
         When every graph of the batch is kept in the memo under these
         labels and this mask bank, the kept blocks are concatenated into
-        a new array. Otherwise column gives every mask's responses, and a
-        copy of every graph's block is kept until the bank changes."""
+        a new array. Otherwise column gives every mask's responses, kept
+        until the bank changes as per-graph views into one copy of the
+        batch's labels and responses (zero_cols writes into z)."""
         bank = tuple(mask_graphs)
         # LabeledGraph has no __eq__, so the banks compare by identity
         if self._memo.get(l, (None,))[0] != bank:
@@ -364,13 +366,9 @@ class ForwardEngine:
                 np.concatenate([k[0] for k in kept]), labels):
             return np.concatenate([k[1] for k in kept])
         z = np.column_stack([column(g) for g in mask_graphs])
-        at = 0
-        for g in graphs:
-            # copies: zero_cols writes into z, and a view would pin the
-            # batch's arrays
-            memo[g] = (labels[at:at + g.num_nodes].copy(),
-                       z[at:at + g.num_nodes].copy())
-            at += g.num_nodes
+        kept_labels, kept_z = labels.copy(), z.copy()
+        for g, (a, b) in zip(graphs, slices):
+            memo[g] = (kept_labels[a:b], kept_z[a:b])
         return z
 
     def _ego_balls(self, graphs, radius: int):
@@ -502,8 +500,8 @@ class ForwardEngine:
             mask_graphs = [mk.graph for mk in params.masks[l]]
             responses = self._column(l, layer, graphs, labels_flat,
                                      mask_graphs)
-            z_flat = self._responses(l, graphs, labels_flat, mask_graphs,
-                                     responses)
+            z_flat = self._responses(l, graphs, slices, labels_flat,
+                                     mask_graphs, responses)
             for (zl, zi) in zero_cols:
                 if zl == l:
                     z_flat[:, zi] = 0.0

@@ -22,13 +22,26 @@ import checks  # noqa: E402
 import tracer  # noqa: E402
 from workloads import WORKLOADS, make_inputs  # noqa: E402
 
-from gkconv import experiment, model  # noqa: E402
+from gkconv import experiment, head, model  # noqa: E402
+from gkconv.data import take  # noqa: E402
+from gkconv.rng import stream  # noqa: E402
 
 
 def tiny(name):
     """A workload's corpus, split, network and config at 20 graphs and
     one epoch."""
     return make_inputs(WORKLOADS[name], 5, scale=0.01, epochs=1)
+
+
+def fitted(name):
+    """A tiny workload's untrained params, its junction codebook fitted on
+    the first 7 graphs, and those graphs with their classes."""
+    ds, _, net, cfg = tiny(name)
+    params = experiment.init_params(net, ds.num_classes, cfg)
+    graphs, ys = take(ds, range(7))
+    model.ForwardEngine(net).forward_graphs(params, graphs,
+                                            fit_rng=stream(0, "kmeans"))
+    return net, cfg, params, graphs, ys
 
 
 def bindings():
@@ -102,3 +115,31 @@ def test_reference_features_match_engine_bitwise(name):
             want = checks.reference_features(net, params, g)
             assert want.shape == f.shape and want.tobytes() == f.tobytes()
         assert checks.feature_mismatches(net, params, sample, feats) == 0
+
+
+def test_head_graphs_counts_the_graphs_passed_to_batch_loss():
+    # the tracer reads len(args[1]) of head.batch_loss: the feature list,
+    # one (n_g, m) block per graph
+    net, cfg, params, graphs, ys = fitted("ring6_l1")
+    engine = model.ForwardEngine(net)
+    with tracer.Tracer() as t:
+        loss, _ = experiment.evaluate(engine, params, graphs, ys,
+                                      cfg.jsd_weight)
+        feats = engine.forward_graphs(params, graphs).features
+        assert head.batch_loss(params.mlp, feats, ys, cfg.jsd_weight) == loss
+    assert t.counters["head.graphs"] == len(graphs)
+
+
+@pytest.mark.parametrize("name", ["ring6_l1", "ring6_l2", "tricycle_g3"])
+def test_forward_egos_counts_nodes_times_layers(name):
+    # the tracer reads the row counts of forward_graphs(...).features,
+    # one (n_g, feature_dim) block per graph
+    net, cfg, params, graphs, ys = fitted(name)
+    feats = model.ForwardEngine(net).forward_graphs(params, graphs).features
+    assert [f.shape for f in feats] == [(g.num_nodes, net.feature_dim)
+                                        for g in graphs]
+    with tracer.Tracer() as t:
+        experiment.evaluate(model.ForwardEngine(net), params, graphs, ys,
+                            cfg.jsd_weight)
+    assert t.counters["model.forward.egos"] == sum(
+        g.num_nodes for g in graphs) * net.num_layers

@@ -6,13 +6,17 @@ loss and gradient sums graph by graph. The batched pass must give the
 same bits for every value, so seeded training runs do not move.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from gkconv.data import MotifSpec, generate_motif_dataset, take
+from gkconv import experiment
+from gkconv.data import (MotifSpec, generate_motif_dataset,
+                         generate_triangle_cycle_dataset, split_holdout, take)
 from gkconv.experiment import TrainConfig, build_network, init_params
-from gkconv.head import (HeadError, batch_loss, gradients, init_mlp,
-                         jsd_grad, jsd_loss, readout)
+from gkconv.head import (HeadError, LossReport, batch_loss, gradients,
+                         init_mlp, jsd_grad, jsd_loss, readout)
 from gkconv.model import ForwardEngine
 from gkconv.rng import stream
 from conftest import graph_gradients
@@ -97,6 +101,19 @@ def ref_backward(p, feats, ys, jsd_weight):
     return grads, dxs
 
 
+def ref_readout(p, feats, ys, jsd_weight):
+    """What training reads of ``readout``, from the per-graph head."""
+    ce, jsd = ref_batch_loss(p, feats, ys, jsd_weight)
+    return SimpleNamespace(loss=LossReport(ce, jsd, jsd_weight),
+                           accuracy=ref_accuracy(p, feats, ys),
+                           args=(p, feats, ys, jsd_weight))
+
+
+def ref_gradients(r):
+    grads, dxs = ref_backward(*r.args)
+    return grads, np.concatenate(dxs)
+
+
 # --- bitwise comparison -------------------------------------------------
 
 def bits(x):
@@ -141,8 +158,9 @@ def responses(rng, n, m, zero_cols=()):
 
 
 # numpy's pairwise summation switches at 8 and 128 elements; 64 and 130
-# sized graphs straddle its blocks
-NODE_COUNTS = (1, 2, 7, 8, 9, 17, 64, 130)
+# sized graphs straddle its blocks, 128 and 129 sit on its block edge and
+# 257 recurses twice
+NODE_COUNTS = (1, 2, 7, 8, 9, 17, 64, 128, 129, 130, 257)
 
 
 @pytest.mark.parametrize("masks", [1, 2, 8, 9])
@@ -188,11 +206,16 @@ def test_engine_features_match_reference_bitwise():
     ds = generate_motif_dataset(MotifSpec("ring", 6), 40,
                                 stream(0, "synth"))
     graphs, ys = take(ds, range(32))
-    for kind, radius in (("wl_subtree", 3), ("graphlet3", 1)):
+    # the last net is two WL layers over a k=4 junction, 16 columns
+    for kind, radius, layers in (("wl_subtree", 3, 1), ("graphlet3", 1, 1),
+                                 ("wl_subtree", 3, 2)):
         net = build_network(ds.dictionary.size, num_masks=8, mask_nodes=6,
-                            radius=radius, kernel_kind=kind)
+                            radius=radius, num_layers=layers,
+                            kernel_kind=kind, quantizer_k=4)
         params = init_params(net, ds.num_classes, TrainConfig(seed=0))
-        feats = ForwardEngine(net).forward_graphs(params, graphs).features
+        feats = ForwardEngine(net).forward_graphs(
+            params, graphs, fit_rng=stream(0, "kmeans")).features
+        assert feats[0].shape[1] == 8 * layers
         assert len({X.shape[0] for X in feats}) > 5
         assert_matches_reference(params.mlp, feats, ys, 1e-4)
 
@@ -217,3 +240,33 @@ def test_head_errors():
         for feats, ys in bad:
             with pytest.raises(HeadError):
                 call(feats, ys)
+
+
+def trained(ds, net, path):
+    """The report (without timings) and final mask workspaces of a tiny
+    seeded training run."""
+    cfg = TrainConfig(epochs=3, batch_size=8, jsd_weight=0.01, seed=4)
+    params, report = experiment.train(
+        ds, split_holdout(ds, stream(cfg.seed, "splits")), net, cfg)
+    masks = [[(mk.workspace.edges, mk.workspace.labels) for mk in bank]
+             for bank in params.masks]
+    return report.to_csv(path, timing=False).read_bytes(), masks
+
+
+@pytest.mark.parametrize("kind", ["wl_subtree", "graphlet3"])
+def test_seeded_training_matches_per_graph_head(monkeypatch, tmp_path, kind):
+    # the whole trajectory, not one batch: every loss, accuracy, MLP step
+    # and accepted mask edit is the per-graph head's
+    if kind == "graphlet3":
+        ds = generate_triangle_cycle_dataset(48, stream(1, "synth"))
+        net = build_network(ds.dictionary.size, num_masks=4, mask_nodes=5,
+                            radius=1, kernel_kind=kind)
+    else:
+        ds = generate_motif_dataset(MotifSpec("ring", 6), 48,
+                                    stream(1, "synth"))
+        net = build_network(ds.dictionary.size, num_masks=4, mask_nodes=5,
+                            radius=2, num_layers=2, quantizer_k=3)
+    want = trained(ds, net, tmp_path / "flat.csv")
+    monkeypatch.setattr(experiment.head, "readout", ref_readout)
+    monkeypatch.setattr(experiment.head, "gradients", ref_gradients)
+    assert trained(ds, net, tmp_path / "per_graph.csv") == want
