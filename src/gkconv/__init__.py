@@ -13,8 +13,8 @@ from .kernels import (GRAPHLET3, WL_SUBTREE, KernelConfig, WlColorTable,
 from .quantizer import Codebook, CodebookStateError, assign, fit_update
 from .model import (ForwardEngine, LayerConfig, ModelParams, NetworkConfig,
                     StructuralMask)
-from .drd import (EditOperation, EditProbabilities, apply_edit,
-                  drd_step_batched, init_mask_bank, sample_edit)
+from .drd import (EditProbabilities, apply_edit, drd_step_batched,
+                  init_mask_bank)
 from .head import (LossReport, MlpParams, Readout, batch_loss, gradients,
                    init_mlp, jsd_grad, jsd_loss, readout)
 from .data import (GraphDataset, MotifSpec, Split, fetch_benchmark,

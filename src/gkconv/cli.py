@@ -291,14 +291,12 @@ def cmd_cv(cfg):
 
 def cmd_grid(cfg):
     ds = _load_dataset(cfg, "grid")
-    tc = _train_config(cfg)
-    out_dir = _out_dir(cfg)
     result = experiment.grid_search(
-        ds, tc, _network(cfg), masks_grid=cfg["grid_masks"],
+        ds, _train_config(cfg), _network(cfg), masks_grid=cfg["grid_masks"],
         nodes_grid=cfg["grid_nodes"], radius_grid=cfg["grid_radius"],
         layers_grid=cfg["grid_layers"], sample=cfg["sample"],
-        jobs=cfg["jobs"],
-        out_csv=out_dir / "leaderboard.csv")
+        jobs=cfg["jobs"], out_csv=Path(cfg["out"]) / "leaderboard.csv")
+    _out_dir(cfg)
     print(f"ran {len(result.rows)} configurations")
     print("best:", {k: result.best[k]
                     for k in ("num_masks", "mask_nodes", "radius",

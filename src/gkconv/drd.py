@@ -8,12 +8,18 @@ sampling distribution in the direction of useful edits. Edits act on the
 mask's fixed-size workspace graph; the kernel only ever sees the largest
 connected component, so toggling bridges can shrink a mask and later
 edits can grow it back.
+
+An edit is its index k in the phase's weight vector. Edge edit k toggles
+the k-th node pair u < v in row-major order: it adds the edge when the
+pair is absent and removes it when present. Label edit k gives node
+k // (L - 1) the (k % (L - 1))-th of its L - 1 other labels, L being the
+layer's dictionary size. Every index names a legal edit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import combinations, islice
+from functools import cache
+from itertools import combinations
 
 import numpy as np
 
@@ -24,45 +30,9 @@ from .optim import Adam
 EDGE_PHASE = "edge"
 LABEL_PHASE = "label"
 
-ADD_EDGE = "add_edge"
-REMOVE_EDGE = "remove_edge"
-RELABEL = "relabel"
-
 
 class DrdError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class EditOperation:
-    """One candidate edit of a mask workspace."""
-
-    kind: str
-    u: int = -1
-    v: int = -1
-    node: int = -1
-    new_label: int = -1
-
-    @classmethod
-    def add(cls, u, v):
-        return cls(kind=ADD_EDGE, u=min(u, v), v=max(u, v))
-
-    @classmethod
-    def remove(cls, u, v):
-        return cls(kind=REMOVE_EDGE, u=min(u, v), v=max(u, v))
-
-    @classmethod
-    def relabel(cls, node, new_label):
-        return cls(kind=RELABEL, node=node, new_label=new_label)
-
-
-def pair_index(u: int, v: int, d: int) -> int:
-    """Index of unordered pair (u, v) in the sorted i<j enumeration."""
-    if u > v:
-        u, v = v, u
-    if not (0 <= u < v < d):
-        raise DrdError(f"bad pair ({u},{v}) for {d} nodes")
-    return u * d - u * (u + 1) // 2 + (v - u - 1)
 
 
 class EditProbabilities:
@@ -72,7 +42,7 @@ class EditProbabilities:
     is the add weight of an absent pair and its complement the removal
     weight of a present pair. Label logits (one row per node) pass
     through a row softmax. Candidate weights are renormalized over the
-    legal edits of the current workspace, so both phases always sample a
+    edits of the current workspace, so both phases always sample a
     proper distribution. Each phase owns its Adam state and is only
     stepped by edits of that phase.
     """
@@ -101,16 +71,28 @@ class EditProbabilities:
         return e / e.sum(axis=1, keepdims=True)
 
 
+@cache
+def _pairs(d: int) -> tuple:
+    """Node pairs u < v of d nodes, row-major: edge edit k toggles the k-th."""
+    return tuple(combinations(range(d), 2))
+
+
+def _relabel(mask: StructuralMask, k: int):
+    """(node, new label) of label edit k; each node has L - 1 edits."""
+    node, j = divmod(k, mask.edit_probs.label_logits.shape[1] - 1)
+    return node, j + (j >= mask.workspace.labels[node])
+
+
 def _phase_weights(mask: StructuralMask, phase: str) -> np.ndarray:
-    """Normalized weights of the phase's legal edits, in the order
-    edit_distribution lists them: node pairs u < v in pair_index order
-    (removal weight for a present edge, add weight for an absent one), or
-    every node's other labels, node by node."""
+    """Normalized weights of the phase's edits, edit k at w[k]: one per
+    node pair (removal weight for a present edge, add weight for an
+    absent one), or one per node and other label, node by node."""
     ws = mask.workspace
     if phase == EDGE_PHASE:
         p = mask.edit_probs.edge_probs()
-        present = np.zeros(len(p), dtype=bool)
-        present[[pair_index(u, v, ws.num_nodes) for u, v in ws.edges]] = True
+        edges = set(ws.edges)
+        present = np.fromiter((e in edges for e in _pairs(ws.num_nodes)),
+                              dtype=bool, count=len(p))
         w = np.where(present, 1.0 - p, p)
     elif phase == LABEL_PHASE:
         s = mask.edit_probs.label_probs()
@@ -125,91 +107,51 @@ def _phase_weights(mask: StructuralMask, phase: str) -> np.ndarray:
     return w / total
 
 
-def _edit_at(mask: StructuralMask, phase: str, k: int) -> EditOperation:
-    """The k-th legal edit of the phase, in _phase_weights order."""
-    ws = mask.workspace
-    if phase == EDGE_PHASE:
-        u, v = next(islice(combinations(range(ws.num_nodes), 2), k, None))
-        make = EditOperation.remove if ws.has_edge(u, v) else EditOperation.add
-        return make(u, v)
-    node, j = divmod(k, mask.edit_probs.label_logits.shape[1] - 1)
-    return EditOperation.relabel(node, j + (j >= ws.labels[node]))
-
-
-def edit_distribution(mask: StructuralMask, phase: str):
-    """Legal edits of the workspace and their normalized weights."""
-    w = _phase_weights(mask, phase)
-    return [_edit_at(mask, phase, k) for k in range(len(w))], w
-
-
 def sample_edit(mask: StructuralMask, phase: str,
                 rng: np.random.Generator):
-    """One edit drawn from the phase distribution; None if none exist."""
+    """Index of one edit drawn from the phase distribution; None if the
+    phase has no edits."""
     w = _phase_weights(mask, phase)
-    if not len(w):
-        return None
-    return _edit_at(mask, phase, int(rng.choice(len(w), p=w)))
+    return int(rng.choice(len(w), p=w)) if len(w) else None
 
 
-def apply_edit(mask: StructuralMask, op: EditOperation) -> StructuralMask:
-    """Edit the workspace and rebuild the effective mask component."""
+def apply_edit(mask: StructuralMask, phase: str, k: int) -> StructuralMask:
+    """The mask after edit k of the phase: a new workspace, its effective
+    component rebuilt, the same edit state."""
     ws = mask.workspace
-    if op.kind == ADD_EDGE:
-        if ws.has_edge(op.u, op.v):
-            raise DrdError(f"edge ({op.u},{op.v}) already present")
-        new = LabeledGraph(ws.num_nodes, list(ws.edges) + [(op.u, op.v)],
-                           ws.labels)
-    elif op.kind == REMOVE_EDGE:
-        if not ws.has_edge(op.u, op.v):
-            raise DrdError(f"edge ({op.u},{op.v}) not present")
-        drop = (min(op.u, op.v), max(op.u, op.v))
-        new = LabeledGraph(ws.num_nodes,
-                           [e for e in ws.edges if e != drop], ws.labels)
-    elif op.kind == RELABEL:
-        if not 0 <= op.node < ws.num_nodes:
-            raise DrdError(f"node {op.node} out of range")
-        if ws.labels[op.node] == op.new_label:
-            raise DrdError("relabel must change the label")
+    if phase == EDGE_PHASE:
+        pair = _pairs(ws.num_nodes)[k]
+        new = LabeledGraph(ws.num_nodes, set(ws.edges) ^ {pair}, ws.labels)
+    else:
+        node, label = _relabel(mask, k)
         labels = list(ws.labels)
-        labels[op.node] = op.new_label
+        labels[node] = label
         new = ws.with_labels(labels)
-    else:
-        raise DrdError(f"unknown edit kind {op.kind!r}")
-    return mask.replaced(new)
+    return StructuralMask(new, mask.edit_probs)
 
 
-def effective_change(before: StructuralMask, after: StructuralMask) -> bool:
-    """Whether an edit altered the mask the kernel actually sees."""
-    return (before.component != after.component
-            or before.graph.edges != after.graph.edges
-            or before.graph.labels != after.graph.labels)
-
-
-def update_probs(mask: StructuralMask, op: EditOperation, est: float) -> None:
-    """Adam step on the sampling logits after a proposal is scored.
-
-    The surrogate objective is est times the proposal weight, so edits
-    that looked useful (est < 0) become more likely and harmful ones
-    less likely, whether or not the edit was kept.
-    """
+def update_probs(mask: StructuralMask, phase: str, k: int,
+                 est: float) -> None:
+    """Adam step on the logits once edit k of the phase, drawn from
+    mask, is scored. The surrogate objective is est times the edit's
+    weight, so edits that looked useful (est < 0) become more likely
+    and harmful ones less likely, whether or not the edit was kept."""
     ep = mask.edit_probs
-    d = mask.workspace.num_nodes
-    if op.kind in (ADD_EDGE, REMOVE_EDGE):
-        idx = pair_index(op.u, op.v, d)
-        p = ep.edge_probs()[idx]
-        sign = 1.0 if op.kind == ADD_EDGE else -1.0
+    if phase == EDGE_PHASE:
+        p = ep.edge_probs()[k]
+        ws = mask.workspace
+        sign = -1.0 if ws.has_edge(*_pairs(ws.num_nodes)[k]) else 1.0
         g = np.zeros_like(ep.edge_logits)
-        g[idx] = est * sign * p * (1.0 - p)
+        g[k] = est * sign * p * (1.0 - p)
         ep.edge_opt.step({"edge": ep.edge_logits}, {"edge": g})
-    elif op.kind == RELABEL:
-        s = ep.label_probs()[op.node]
-        row = -est * s[op.new_label] * s
-        row[op.new_label] += est * s[op.new_label]
-        g = np.zeros_like(ep.label_logits)
-        g[op.node] = row
-        ep.label_opt.step({"label": ep.label_logits}, {"label": g})
     else:
-        raise DrdError(f"unknown edit kind {op.kind!r}")
+        node, label = _relabel(mask, k)
+        s = ep.label_probs()[node]
+        row = -est * s[label] * s
+        row[label] += est * s[label]
+        g = np.zeros_like(ep.label_logits)
+        g[node] = row
+        ep.label_opt.step({"label": ep.label_logits}, {"label": g})
 
 
 def drd_step_batched(mask: StructuralMask, phase: str,
@@ -224,21 +166,21 @@ def drd_step_batched(mask: StructuralMask, phase: str,
     for an edit the kernel cannot see. Returns (mask after the step,
     accepted, estimate). The edit is kept exactly when the estimate is
     <= 0; the sampling distribution is updated either way. A phase with
-    no legal edits is a no-op that returns (mask, False, 0.0) without
-    touching any state.
+    no edits returns (mask, False, 0.0) and touches no state.
     """
-    op = sample_edit(mask, phase, rng)
-    if op is None:
+    k = sample_edit(mask, phase, rng)
+    if k is None:
         return mask, False, 0.0
-    after = apply_edit(mask, op)
-    if not effective_change(mask, after):
+    after = apply_edit(mask, phase, k)
+    if ((after.component, after.graph.edges, after.graph.labels)
+            == (mask.component, mask.graph.edges, mask.graph.labels)):
         est = 0.0
         # the same effective mask, so the same graph object: a new one
         # would read as a changed bank and drop the engine's kept responses
         after.graph = mask.graph
     else:
         est = float(grads @ (responses(after.graph) - before_col))
-    update_probs(mask, op, est)
+    update_probs(mask, phase, k, est)
     if est <= 0.0:
         return after, True, est
     return mask, False, est
@@ -247,11 +189,9 @@ def drd_step_batched(mask: StructuralMask, phase: str,
 def init_structural_mask(layer: LayerConfig, rng: np.random.Generator,
                          prob_lr: float = 0.01) -> StructuralMask:
     """Fresh mask: random connected workspace plus flat edit logits."""
-    ws = random_connected_graph(layer.max_mask_nodes,
-                                layer.input_dictionary.size, rng)
-    ep = EditProbabilities.zeros(layer.max_mask_nodes,
-                                 layer.input_dictionary.size, prob_lr)
-    return StructuralMask(ws, ep)
+    d, size = layer.max_mask_nodes, layer.input_dictionary.size
+    return StructuralMask(random_connected_graph(d, size, rng),
+                          EditProbabilities.zeros(d, size, prob_lr))
 
 
 def init_mask_bank(layer: LayerConfig, rng: np.random.Generator,

@@ -57,8 +57,13 @@ class TrainConfig:
                 f"epochs must lie in [0, {MAX_EPOCHS}], got {self.epochs}")
         if self.batch_size < 1:
             raise ExperimentError("batch_size must be >= 1")
-        if self.jsd_weight < 0:
-            raise ExperimentError("jsd_weight must be >= 0")
+        for name in ("mlp_lr", "prob_lr"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ExperimentError(f"{name} must be finite and > 0, "
+                                      f"got {getattr(self, name)}")
+        if not 0 <= self.jsd_weight < math.inf:
+            raise ExperimentError(f"jsd_weight must be finite and >= 0, "
+                                  f"got {self.jsd_weight}")
         if self.patience < 1:
             raise ExperimentError("patience must be >= 1")
 
@@ -303,8 +308,7 @@ class GridResult:
 
 
 def _run_grid_combo(args):
-    ds, combo, cfg, split, network = args
-    net = build_network(ds.dictionary.size, **{**network, **combo})
+    ds, combo, net, cfg, split = args
     row = dict(combo)
     try:
         _, report = train(ds, split, net, cfg)
@@ -348,8 +352,10 @@ def grid_search(ds: GraphDataset, cfg: TrainConfig, network: dict,
                                                replace=False)
         combos = [combos[int(i)] for i in sorted(pick)]
     split = split_holdout(ds, stream(cfg.seed, "splits"))
-    tasks = [(ds, combo, replace(cfg, seed=derive_seed(cfg.seed, 1000 + i)),
-              split, network)
+    # every candidate's network is built, and so checked, before any runs
+    tasks = [(ds, combo, build_network(ds.dictionary.size,
+                                       **{**network, **combo}),
+              replace(cfg, seed=derive_seed(cfg.seed, 1000 + i)), split)
              for i, combo in enumerate(combos)]
     rows = _run_all(_run_grid_combo, tasks, jobs)
     order = sorted(range(len(rows)),

@@ -387,7 +387,7 @@ def refine_union(indptr, indices, labels, sizes, iterations: int) -> WlUnion:
     (own color, sorted neighbor colors) signature exactly, with sorts
     instead of a signature table: the color is extended by as many
     neighbor digits (color + 1, or 0 past the node's degree) as fit in an
-    int64 key, and that key is replaced by its rank among the step's
+    int64 key, and that key gives way to its rank among the step's
     distinct keys, until every neighbor is consumed. This is the sorted-
     multiset relabeling of Shervashidze et al., "Weisfeiler-Lehman Graph
     Kernels" (JMLR 2011). Nodes get the same class exactly when

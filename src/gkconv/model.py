@@ -120,12 +120,6 @@ class StructuralMask:
         self.component = tuple(max_component_nodes(workspace))
         self.graph = induced_subgraph(workspace, self.component)
 
-    def replaced(self, workspace: LabeledGraph) -> "StructuralMask":
-        """New mask with the same edit state over an edited workspace."""
-        if workspace.num_nodes != self.workspace.num_nodes:
-            raise ModelError("workspace size is fixed per mask")
-        return StructuralMask(workspace, self.edit_probs)
-
     def __repr__(self):
         return (f"StructuralMask(d={self.workspace.num_nodes}, "
                 f"p={self.graph.num_nodes})")
@@ -359,7 +353,7 @@ class ForwardEngine:
         bank = tuple(mask_graphs)
         # LabeledGraph has no __eq__, so the banks compare by identity
         if self._memo.get(l, (None,))[0] != bank:
-            self._memo[l] = (bank, {})  # releases the replaced masks
+            self._memo[l] = (bank, {})  # releases the old bank's masks
         memo = self._memo[l][1]
         kept = [memo.get(g) for g in graphs]
         if None not in kept and np.array_equal(

@@ -17,8 +17,9 @@ class Adam:
     eps = 1e-8
 
     def __init__(self, lr):
-        if lr <= 0:
-            raise ValueError(f"learning rate must be positive, got {lr}")
+        if not 0 < lr < np.inf:
+            raise ValueError(f"learning rate must be finite and positive, "
+                             f"got {lr}")
         self.lr = lr
         self.t = 0
         self.m = {}

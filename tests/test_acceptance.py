@@ -253,8 +253,8 @@ def _run_instrumented(monkeypatch, ds, net, cfg, split):
                                 f"{stats['steps']}")
         return out
 
-    def upd_spy(mask, op, est):
-        out = real_upd(mask, op, est)
+    def upd_spy(mask, phase, k, est):
+        out = real_upd(mask, phase, k, est)
         stats["updates"] += 1
         off = np.abs(mask.edit_probs.label_probs().sum(axis=1) - 1.0).max()
         if off > 1e-9:

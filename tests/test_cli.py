@@ -117,6 +117,19 @@ def test_train_divergence_exits_1(corpus, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--prob-lr", "nan"), ("--prob-lr", "0"), ("--mlp-lr", "nan"),
+    ("--mlp-lr", "inf"), ("--jsd-weight", "nan")])
+def test_train_rejects_bad_rates_before_writing(corpus, tmp_path, capsys,
+                                                flag, value):
+    out = tmp_path / "run"
+    code = main(["train", "--data", str(corpus), "--name", "triangle_cycle",
+                 "--out", str(out), flag, value] + TINY)
+    assert code != 0
+    assert flag[2:].replace("-", "_") in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_config_file_sits_between_defaults_and_flags(tmp_path, capsys):
     cfg = tmp_path / "synth.cfg"
     cfg.write_text("# comment\ncount=4\nsize=5\n")
@@ -242,6 +255,19 @@ def test_grid_command(corpus, tmp_path, capsys):
     board = (out / "leaderboard.csv").read_text().splitlines()
     assert len(board) == 3
     assert "num_masks" in board[0] and "status" in board[0]
+
+
+def test_grid_rejects_an_invalid_grid_before_writing(corpus, tmp_path,
+                                                     capsys):
+    out = tmp_path / "grid"
+    code = main(["grid", "--data", str(corpus), "--name", "triangle_cycle",
+                 "--grid-masks", "2,0", "--grid-nodes", "3",
+                 "--grid-radius", "1", "--grid-layers", "1",
+                 "--wl-iters", "1", "--epochs", "1", "--batch", "4",
+                 "--out", str(out)])
+    assert code == 1
+    assert "need >= 1 mask, got 0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_grid_passes_raw_and_quantizer_k(corpus, tmp_path, monkeypatch):

@@ -1,26 +1,63 @@
-"""Randomized descent over mask edits: proposals, estimates, updates."""
+"""Randomized descent over mask edits: proposals, estimates, updates.
+
+An edit is its index k in the phase's weight vector (``_phase_weights``).
+"""
 
 import copy
+import hashlib
 
 import networkx as nx
 import numpy as np
 import pytest
 
-from gkconv.drd import (DrdError, EditOperation, EditProbabilities,
-                        apply_edit, drd_step_batched, edit_distribution,
-                        effective_change, init_mask_bank,
-                        init_structural_mask, pair_index, sample_edit,
-                        update_probs)
+import gkconv.experiment as ex
+from gkconv.data import (MotifSpec, generate_motif_dataset,
+                         generate_triangle_cycle_dataset, split_holdout)
+from gkconv.drd import (DrdError, EditProbabilities, _phase_weights,
+                        apply_edit, drd_step_batched, init_mask_bank,
+                        init_structural_mask, sample_edit, update_probs)
 from gkconv.graphs import LabelDictionary, LabeledGraph, complete_graph
-from gkconv.kernels import WL_SUBTREE, KernelConfig, kernel_matrix
+from gkconv.kernels import GRAPHLET3, WL_SUBTREE, KernelConfig, kernel_matrix
 from gkconv import model
 from gkconv.model import (ForwardEngine, LayerConfig, ModelParams,
                           NetworkConfig, StructuralMask)
+from gkconv.rng import stream
 from conftest import kernel_value, random_graph, to_nx
 
 EDGE = "edge"
 LABEL = "label"
 WL = KernelConfig(kind=WL_SUBTREE, wl_iterations=2, normalized=True)
+
+
+def pair_index(u, v, d):
+    """Index of the pair u < v among d nodes' pairs in row-major order:
+    the edge edit that toggles it."""
+    return u * d - u * (u + 1) // 2 + (v - u - 1)
+
+
+def label_index(mask, node, label):
+    """The label edit that gives node the label, one of its others."""
+    own = mask.workspace.labels[node]
+    return node * (mask.edit_probs.label_logits.shape[1] - 1) + label - (
+        label > own)
+
+
+def edit_of(before, after):
+    """What an edit changed, read off the two workspaces: ("add", u, v),
+    ("remove", u, v) or ("relabel", node, label), one tuple per change."""
+    a, b = before.workspace, after.workspace
+    out = [("add", *e) for e in sorted(set(b.edges) - set(a.edges))]
+    out += [("remove", *e) for e in sorted(set(a.edges) - set(b.edges))]
+    out += [("relabel", v, y) for v, (x, y) in enumerate(zip(a.labels,
+                                                             b.labels))
+            if x != y]
+    return out
+
+
+def sees_change(before, after):
+    """Whether an edit altered the mask the kernel actually sees."""
+    return ((before.component, before.graph.edges, before.graph.labels)
+            != (after.component, after.graph.edges, after.graph.labels))
 
 
 def kernel_step(mask, egos, grads, phase, rng):
@@ -59,19 +96,15 @@ def mask_with_absent_pair(nodes=4, dict_size=2):
 
 
 def test_pair_index_enumeration_roundtrip():
+    # edge edit k toggles the k-th pair u < v in row-major order
     for d in range(2, 9):
+        mask = fresh_mask(d, seed=d)
         pairs = [(u, v) for u in range(d) for v in range(u + 1, d)]
         for pos, (u, v) in enumerate(pairs):
             assert pair_index(u, v, d) == pos
-
-
-def test_edit_operation_constructors_normalize():
-    op = EditOperation.add(3, 1)
-    assert (op.u, op.v) == (1, 3)
-    op = EditOperation.remove(2, 0)
-    assert (op.u, op.v) == (0, 2)
-    op = EditOperation.relabel(4, 1)
-    assert op.node == 4 and op.new_label == 1
+            kind = "remove" if mask.workspace.has_edge(u, v) else "add"
+            assert edit_of(mask, apply_edit(mask, EDGE, pos)) == [
+                (kind, u, v)]
 
 
 def test_zeroed_probabilities_are_flat():
@@ -83,13 +116,13 @@ def test_zeroed_probabilities_are_flat():
 
 def test_edit_distribution_edge_phase():
     mask = fresh_mask(nodes=5)
-    ops, w = edit_distribution(mask, EDGE)
-    assert len(ops) == 10  # C(5,2), every pair proposable
+    w = _phase_weights(mask, EDGE)
+    assert len(w) == 10  # C(5,2), every pair proposable
     assert abs(w.sum() - 1.0) < 1e-12
-    kinds = {op.kind for op in ops}
-    assert kinds == {"add_edge", "remove_edge"}
-    removes = [op for op in ops if op.kind == "remove_edge"]
-    assert len(removes) == mask.workspace.num_edges
+    kinds = [edit_of(mask, apply_edit(mask, EDGE, k))[0][0]
+             for k in range(len(w))]
+    assert set(kinds) == {"add", "remove"}
+    assert kinds.count("remove") == mask.workspace.num_edges
 
 
 def test_edit_distribution_respects_logits():
@@ -97,29 +130,30 @@ def test_edit_distribution_respects_logits():
     # crank one absent pair's logit way up; adding it should dominate
     absent = absent_pair(mask.workspace)
     mask.edit_probs.edge_logits[pair_index(*absent, 4)] = 50.0
-    ops, w = edit_distribution(mask, EDGE)
-    best = ops[int(np.argmax(w))]
-    assert (best.kind, best.u, best.v) == ("add_edge", *absent)
+    best = int(np.argmax(_phase_weights(mask, EDGE)))
+    assert edit_of(mask, apply_edit(mask, EDGE, best)) == [("add", *absent)]
 
 
 def test_edit_distribution_label_phase():
     mask = fresh_mask(nodes=4, dict_size=3)
-    ops, w = edit_distribution(mask, LABEL)
-    assert len(ops) == 4 * 2  # every node, every other label
+    w = _phase_weights(mask, LABEL)
+    assert len(w) == 4 * 2  # every node, every other label
     assert abs(w.sum() - 1.0) < 1e-12
-    assert all(op.new_label != mask.workspace.labels[op.node] for op in ops)
+    edits = [edit_of(mask, apply_edit(mask, LABEL, k)) for k in range(8)]
+    assert edits == [[("relabel", node, label)] for node in range(4)
+                     for label in range(3)
+                     if label != mask.workspace.labels[node]]
 
 
 def test_label_phase_without_alternatives_is_empty():
     mask = fresh_mask(nodes=4, dict_size=1)
-    ops, w = edit_distribution(mask, LABEL)
-    assert ops == [] and len(w) == 0
+    assert len(_phase_weights(mask, LABEL)) == 0
     assert sample_edit(mask, LABEL, np.random.default_rng(0)) is None
 
 
 def loop_distribution(mask, phase):
-    """Reference: the legal edits and their weights, one pair or label at
-    a time."""
+    """Reference: every edit, as edit_of describes it, and its weight, one
+    pair or label at a time."""
     ws, ep = mask.workspace, mask.edit_probs
     d = ws.num_nodes
     ops, weights = [], []
@@ -128,17 +162,17 @@ def loop_distribution(mask, phase):
         for u in range(d):
             for v in range(u + 1, d):
                 if ws.has_edge(u, v):
-                    ops.append(EditOperation.remove(u, v))
+                    ops.append([("remove", u, v)])
                     weights.append(1.0 - p[pair_index(u, v, d)])
                 else:
-                    ops.append(EditOperation.add(u, v))
+                    ops.append([("add", u, v)])
                     weights.append(p[pair_index(u, v, d)])
     else:
         s = ep.label_probs()
         for node in range(d):
             for c in range(s.shape[1]):
                 if c != ws.labels[node]:
-                    ops.append(EditOperation.relabel(node, c))
+                    ops.append([("relabel", node, c)])
                     weights.append(s[node, c])
     if not ops:
         return [], np.zeros(0)
@@ -172,21 +206,22 @@ def test_edit_distribution_matches_loop_reference_bitwise():
     for trial, mask in enumerate(masks):
         for phase in (EDGE, LABEL):
             want_ops, want_w = loop_distribution(mask, phase)
-            ops, w = edit_distribution(mask, phase)
-            assert ops == want_ops
+            w = _phase_weights(mask, phase)
+            assert [edit_of(mask, apply_edit(mask, phase, k))
+                    for k in range(len(w))] == want_ops
             assert w.tobytes() == want_w.tobytes()
             draw = sample_edit(mask, phase, np.random.default_rng(trial))
             if want_ops:
                 pick = np.random.default_rng(trial).choice(len(want_ops),
                                                            p=want_w)
-                assert draw == want_ops[int(pick)]
+                assert draw == int(pick)
             else:
                 assert draw is None
 
 
 def test_unknown_phase_raises():
     with pytest.raises(DrdError):
-        edit_distribution(fresh_mask(), "swap")
+        sample_edit(fresh_mask(), "swap", np.random.default_rng(0))
 
 
 def test_drd_step_without_legal_edits_is_stateless_noop():
@@ -202,29 +237,54 @@ def test_apply_edit_add_remove_relabel():
     mask = mask_with_absent_pair(nodes=4, dict_size=2)
     ws = mask.workspace
     absent = absent_pair(ws)
-    grown = apply_edit(mask, EditOperation.add(*absent))
+    k = pair_index(*absent, 4)
+    grown = apply_edit(mask, EDGE, k)
     assert grown.workspace.has_edge(*absent)
-    back = apply_edit(grown, EditOperation.remove(*absent))
+    # the same index toggles the pair back: add and remove are one edit
+    back = apply_edit(grown, EDGE, k)
     assert back.workspace.edges == ws.edges
-    relab = apply_edit(mask, EditOperation.relabel(0, 1 - ws.labels[0]))
-    assert relab.workspace.labels[0] != ws.labels[0]
+    relab = apply_edit(mask, LABEL, 0)  # node 0, its one other label
+    assert relab.workspace.labels[0] == 1 - ws.labels[0]
     # the workspace object is replaced, never mutated
     assert mask.workspace is ws
+    assert relab.edit_probs is grown.edit_probs is mask.edit_probs
 
 
-def test_apply_edit_errors():
-    mask = mask_with_absent_pair(nodes=4)
-    ws = mask.workspace
-    present = ws.edges[0]
-    absent = absent_pair(ws)
-    with pytest.raises(DrdError):
-        apply_edit(mask, EditOperation.add(*present))
-    with pytest.raises(DrdError):
-        apply_edit(mask, EditOperation.remove(*absent))
-    with pytest.raises(DrdError):
-        apply_edit(mask, EditOperation.relabel(0, ws.labels[0]))
-    with pytest.raises(DrdError):
-        apply_edit(mask, EditOperation.relabel(9, 0))
+def random_workspace_masks(rng, count):
+    """Masks with random workspaces, complete and empty ones among them."""
+    masks = []
+    for trial in range(count):
+        d, dict_size = int(rng.integers(1, 9)), int(rng.integers(1, 5))
+        p = (0.0, 1.0, rng.random())[trial % 3]
+        ws = random_graph(rng, n_max=d, n_min=d, dict_size=dict_size, p=p)
+        masks.append(StructuralMask(ws, EditProbabilities.zeros(d,
+                                                                dict_size)))
+    return masks
+
+
+def test_every_index_edits_exactly_its_pair_or_label():
+    # each index of either phase is a legal edit of the workspace, and
+    # changes exactly the pair or the node label it names
+    for mask in random_workspace_masks(np.random.default_rng(40), 90):
+        ws = mask.workspace
+        d, dict_size = ws.num_nodes, mask.edit_probs.label_logits.shape[1]
+        pairs = [(u, v) for u in range(d) for v in range(u + 1, d)]
+        others = [(v, y) for v in range(d) for y in range(dict_size)
+                  if y != ws.labels[v]]
+        assert len(_phase_weights(mask, EDGE)) == len(pairs)
+        assert len(_phase_weights(mask, LABEL)) == len(others)
+        for k, (u, v) in enumerate(pairs):
+            after = apply_edit(mask, EDGE, k).workspace
+            assert set(after.edges) ^ set(ws.edges) == {(u, v)}
+            assert after.labels == ws.labels
+            assert after.num_nodes == d
+        for k, (v, y) in enumerate(others):
+            after = apply_edit(mask, LABEL, k).workspace
+            assert [i for i in range(d)
+                    if after.labels[i] != ws.labels[i]] == [v]
+            assert after.labels[v] == y
+            assert after.edges == ws.edges
+        assert mask.workspace is ws
 
 
 def test_effective_change_ignores_dead_component_edits():
@@ -232,8 +292,8 @@ def test_effective_change_ignores_dead_component_edits():
     ws = LabeledGraph(5, [(0, 1), (0, 2), (1, 2)], [0] * 5)
     mask = StructuralMask(workspace=ws,
                           edit_probs=EditProbabilities.zeros(5, 1))
-    grown = apply_edit(mask, EditOperation.add(3, 4))
-    assert not effective_change(mask, grown)
+    grown = apply_edit(mask, EDGE, pair_index(3, 4, 5))
+    assert not sees_change(mask, grown)
     # a step that draws this edit scores it 0 without a response column
     logits = mask.edit_probs.edge_logits
     logits[:] = -60.0
@@ -248,8 +308,8 @@ def test_effective_change_ignores_dead_component_edits():
     assert est == 0.0 and accepted
     assert out.workspace.edges == grown.workspace.edges
     # but touching the main component is visible
-    shrunk = apply_edit(mask, EditOperation.remove(0, 1))
-    assert effective_change(mask, shrunk)
+    shrunk = apply_edit(mask, EDGE, pair_index(0, 1, 5))
+    assert sees_change(mask, shrunk)
 
 
 def test_accepted_noop_edit_keeps_the_mask_graph(monkeypatch):
@@ -291,9 +351,9 @@ def test_estimate_subgradient_matches_manual_sum():
     rng = np.random.default_rng(2)
     mask = fresh_mask(nodes=5, dict_size=2, seed=3)
     twin = copy.deepcopy(mask)
-    op = sample_edit(mask, EDGE, rng)
-    after = apply_edit(mask, op)
-    assert effective_change(mask, after)
+    k = sample_edit(mask, EDGE, rng)
+    after = apply_edit(mask, EDGE, k)
+    assert sees_change(mask, after)
     egos = [random_graph(rng, n_max=6, dict_size=2) for _ in range(8)]
     grads = rng.standard_normal(8)
     want = sum(g * (kernel_value(WL, e, after.graph)
@@ -314,14 +374,14 @@ def test_update_probs_moves_toward_useful_edits():
     absent = absent_pair(ws)
     idx = pair_index(*absent, 4)
     p0 = mask.edit_probs.edge_probs()[idx]
-    update_probs(mask, EditOperation.add(*absent), est=-1.0)
+    update_probs(mask, EDGE, idx, est=-1.0)
     assert mask.edit_probs.edge_probs()[idx] > p0
-    update_probs(mask, EditOperation.add(*absent), est=+1.0)
+    update_probs(mask, EDGE, idx, est=+1.0)
 
     present = ws.edges[0]
     jdx = pair_index(*present, 4)
     q0 = mask.edit_probs.edge_probs()[jdx]
-    update_probs(mask, EditOperation.remove(*present), est=-1.0)
+    update_probs(mask, EDGE, jdx, est=-1.0)
     assert mask.edit_probs.edge_probs()[jdx] < q0
 
 
@@ -329,7 +389,7 @@ def test_update_probs_relabel_keeps_rows_normalized():
     mask = fresh_mask(nodes=4, dict_size=3)
     target = 1 if mask.workspace.labels[2] != 1 else 2
     s0 = mask.edit_probs.label_probs()[2, target]
-    update_probs(mask, EditOperation.relabel(2, target), est=-0.5)
+    update_probs(mask, LABEL, label_index(mask, 2, target), est=-0.5)
     s = mask.edit_probs.label_probs()
     assert s[2, target] > s0
     assert np.abs(s.sum(axis=1) - 1.0).max() < 1e-9
@@ -372,3 +432,37 @@ def test_init_mask_bank():
         assert nx.is_connected(to_nx(mask.workspace))
         assert max(mask.workspace.labels) < 3
         assert mask.graph.num_nodes == 6  # connected workspace = whole mask
+
+
+PIN_CORPORA = {
+    "ring6": lambda: generate_motif_dataset(MotifSpec("ring", 6), 40,
+                                            np.random.default_rng(1)),
+    "tricycle": lambda: generate_triangle_cycle_dataset(
+        40, np.random.default_rng(1)),
+}
+
+
+@pytest.mark.parametrize("corpus,network,digest", [
+    ("ring6", dict(num_masks=4, mask_nodes=5, radius=2, wl_iterations=2),
+     "1d3332eb3921b207394ce3cdbfa7b1c0f660e235587fc93dd92562d1738d2b22"),
+    ("ring6", dict(num_masks=3, mask_nodes=5, radius=1, wl_iterations=2,
+                   num_layers=2, quantizer_k=3),
+     "1fa07857234b43f5f5f18f063d0b0f52d2da4085fb9a774e3660325d9c376594"),
+    ("tricycle", dict(num_masks=4, mask_nodes=5, radius=1,
+                      kernel_kind=GRAPHLET3),
+     "d2b13794c578bae2dcaf37be1bd42e6196c310aefb156937d04fc4dcafe595d3"),
+], ids=["wl_1layer", "wl_2layer_junction", "graphlet3"])
+def test_seeded_drd_trajectory_is_pinned(corpus, network, digest):
+    # the final mask workspaces and every epoch's accept rate of a tiny
+    # seeded run, frozen: draws, edits, estimates and logit updates must
+    # reproduce step for step
+    ds = PIN_CORPORA[corpus]()
+    net = ex.build_network(ds.dictionary.size, **network)
+    cfg = ex.TrainConfig(epochs=12, batch_size=4, seed=3)
+    params, report = ex.train(
+        ds, split_holdout(ds, stream(cfg.seed, "splits")), net, cfg)
+    state = [[(m.workspace.edges, m.workspace.labels) for m in bank]
+             for bank in params.masks]
+    rates = [r.edit_accept_rate for r in report.rows]
+    assert hashlib.sha256(repr((state, rates)).encode()).hexdigest() == \
+        digest

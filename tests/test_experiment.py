@@ -54,6 +54,17 @@ def test_train_config_validation():
             ex.TrainConfig(**kw)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("mlp_lr", 0.0), ("mlp_lr", -1e-3), ("mlp_lr", math.nan),
+    ("mlp_lr", math.inf), ("prob_lr", 0.0), ("prob_lr", math.nan),
+    ("prob_lr", math.inf), ("jsd_weight", math.nan),
+    ("jsd_weight", math.inf)])
+def test_train_config_rejects_non_finite_rates(field, value):
+    with pytest.raises(ex.ExperimentError, match=field):
+        ex.TrainConfig(**{field: value})
+    assert ex.TrainConfig(jsd_weight=0.0).jsd_weight == 0.0
+
+
 def test_init_params_shapes_and_hidden_default():
     net = ex.build_network(1, num_masks=3, mask_nodes=4)
     p = ex.init_params(net, 2, ex.TrainConfig())

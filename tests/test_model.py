@@ -101,16 +101,17 @@ def test_structural_mask_component_and_graph():
     assert mask.graph.num_nodes == 3 and mask.graph.num_edges == 3
 
 
-def test_structural_mask_replaced_keeps_size():
-    ws = random_connected_graph(4, 2, np.random.default_rng(0))
-    mask = StructuralMask(workspace=ws,
-                          edit_probs=EditProbabilities.zeros(4, 2))
-    new_ws = random_connected_graph(4, 2, np.random.default_rng(1))
-    swapped = mask.replaced(new_ws)
-    assert swapped.workspace is new_ws
-    assert swapped.edit_probs is mask.edit_probs
-    with pytest.raises(ModelError):
-        mask.replaced(random_connected_graph(5, 2, np.random.default_rng(2)))
+def test_forward_rejects_a_mask_of_another_workspace_size():
+    # the layer fixes a mask's workspace size, and every forward pass
+    # checks it
+    rng = np.random.default_rng(0)
+    net = NetworkConfig(layers=(layer(num_masks=2, nodes=4, dict_size=2),),
+                        quantizer_k=())
+    params = make_params(net, rng)
+    params.masks[0][1] = StructuralMask(random_connected_graph(5, 2, rng),
+                                        params.masks[0][1].edit_probs)
+    with pytest.raises(ModelError, match="workspace size"):
+        ForwardEngine(net).forward_graphs(params, [cycle_graph(4)])
 
 
 def test_random_connected_graph_properties():
@@ -240,7 +241,8 @@ def test_engine_keeps_only_current_mask_histograms():
     engine = ForwardEngine(net)
     first = engine.forward_graphs(params, graphs)
     old = params.masks[0][1]
-    params.masks[0][1] = old.replaced(random_connected_graph(4, 2, rng))
+    params.masks[0][1] = StructuralMask(random_connected_graph(4, 2, rng),
+                                        old.edit_probs)
     second = engine.forward_graphs(params, graphs)
     current = tuple(mk.graph for mk in params.masks[0])
     assert tuple(engine._stats[0]) == current
@@ -508,8 +510,8 @@ def test_layer0_columns_follow_batches_and_mask_edits(kernel):
     assert_layer0_batch_exact(engine, net, params,
                               pool[6:9] + pool[:3] + pool[1:2], probes)
     # a mask replaced between batches, more new graphs among stored ones
-    params.masks[0][1] = params.masks[0][1].replaced(
-        random_connected_graph(4, 3, rng))
+    params.masks[0][1] = StructuralMask(
+        random_connected_graph(4, 3, rng), params.masks[0][1].edit_probs)
     assert_layer0_batch_exact(engine, net, params,
                               pool[9:11] + pool[3:7] + pool[3:4], probes)
     # a mask replaced by a candidate the last batch scored, then only
@@ -762,8 +764,9 @@ def test_deep_layer_memo_follows_labels_and_masks(monkeypatch, kernel, k):
     assert_forward_exact(engine, net, params, batch)
     assert refines == []
     # one deep mask replaced: the bank changed, so the batch is refined
-    params.masks[1][1] = params.masks[1][1].replaced(
-        random_connected_graph(4, net.layers[1].input_dictionary.size, rng))
+    params.masks[1][1] = StructuralMask(
+        random_connected_graph(4, net.layers[1].input_dictionary.size, rng),
+        params.masks[1][1].edit_probs)
     assert_forward_exact(engine, net, params, batch)
     assert len(refines) == 1
     assert_forward_exact(engine, net, params, batch[::-1])
@@ -774,7 +777,8 @@ def test_deep_layer_memo_follows_labels_and_masks(monkeypatch, kernel, k):
     before = junction_labels(net, params, batch)
     old = params.masks[0][0]
     for _ in range(20):  # a replacement that moves some label
-        params.masks[0][0] = old.replaced(random_connected_graph(4, 2, rng))
+        params.masks[0][0] = StructuralMask(
+            random_connected_graph(4, 2, rng), old.edit_probs)
         relabeled = junction_labels(net, params, batch) != before
         if relabeled or k is None:
             break
@@ -807,8 +811,9 @@ def test_deep_layer_zero_cols_never_reach_the_memo(monkeypatch, kernel, k):
     assert_forward_exact(engine, net, params, graphs, zero_cols={(1, 0)})
     assert_forward_exact(engine, net, params, graphs)
     # blanked on the batch that refills the memo after a bank change
-    params.masks[1][2] = params.masks[1][2].replaced(
-        random_connected_graph(4, net.layers[1].input_dictionary.size, rng))
+    params.masks[1][2] = StructuralMask(
+        random_connected_graph(4, net.layers[1].input_dictionary.size, rng),
+        params.masks[1][2].edit_probs)
     assert_forward_exact(engine, net, params, graphs[1:],
                          zero_cols={(1, 2), (1, 1)})
     assert_forward_exact(engine, net, params, graphs[1:])
@@ -827,8 +832,8 @@ def test_deep_layer_zero_cols_never_reach_the_memo(monkeypatch, kernel, k):
 def test_deep_layer_memo_releases_replaced_masks():
     rng, net, params, graphs, engine = memo_setup(WL2, 3, 33)
     old = weakref.ref(params.masks[1][0].graph)
-    params.masks[1][0] = params.masks[1][0].replaced(
-        random_connected_graph(4, 3, rng))
+    params.masks[1][0] = StructuralMask(
+        random_connected_graph(4, 3, rng), params.masks[1][0].edit_probs)
     assert_forward_exact(engine, net, params, graphs[:4])
     gc.collect()
     assert old() is None
@@ -856,8 +861,8 @@ def test_replaced_mask_graph_is_freed(kinds, l):
     trace.layers[l].responses(path_graph(3, [0, 1, 0]))
     del trace
     old = weakref.ref(params.masks[l][0].graph)
-    params.masks[l][0] = params.masks[l][0].replaced(
-        random_connected_graph(4, 2, rng))
+    params.masks[l][0] = StructuralMask(
+        random_connected_graph(4, 2, rng), params.masks[l][0].edit_probs)
     for batch in (graphs[:4], graphs):
         assert_forward_exact(engine, net, params, batch)
     gc.collect()

@@ -70,8 +70,9 @@ def test_adam_state_roundtrip_continues_identically():
 
 
 def test_adam_validation():
-    with pytest.raises(ValueError):
-        Adam(lr=0.0)
+    for lr in (0.0, -0.1, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            Adam(lr=lr)
 
 
 # --- head forward pieces ----------------------------------------------
