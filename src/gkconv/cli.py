@@ -200,6 +200,14 @@ def _require(cfg, key, cmd):
         raise UsageError(f"{cmd} requires --{key.replace('_', '-')}")
 
 
+def _at_least(cfg, key, lo):
+    """cfg[key], which must be a finite number >= lo."""
+    if not lo <= cfg[key] < float("inf"):
+        raise UsageError(f"--{key.replace('_', '-')} must be finite and "
+                         f">= {lo}, got {cfg[key]}")
+    return cfg[key]
+
+
 def _kernel_kind(name):
     try:
         return KERNEL_NAMES[name.lower()]
@@ -272,7 +280,7 @@ def cmd_cv(cfg):
     ds = _load_dataset(cfg, "cv")
     net, tc = _train_pieces(cfg, ds)
     result = experiment.cross_validate(ds, net, tc, folds=cfg["folds"],
-                                       jobs=cfg["jobs"])
+                                       jobs=_at_least(cfg, "jobs", 1))
     out_dir = _out_dir(cfg)
     with open(out_dir / "cv_summary.csv", "w", newline="") as f:
         w = csv.writer(f)
@@ -294,8 +302,9 @@ def cmd_grid(cfg):
     result = experiment.grid_search(
         ds, _train_config(cfg), _network(cfg), masks_grid=cfg["grid_masks"],
         nodes_grid=cfg["grid_nodes"], radius_grid=cfg["grid_radius"],
-        layers_grid=cfg["grid_layers"], sample=cfg["sample"],
-        jobs=cfg["jobs"], out_csv=Path(cfg["out"]) / "leaderboard.csv")
+        layers_grid=cfg["grid_layers"], sample=_at_least(cfg, "sample", 0),
+        jobs=_at_least(cfg, "jobs", 1),
+        out_csv=Path(cfg["out"]) / "leaderboard.csv")
     _out_dir(cfg)
     print(f"ran {len(result.rows)} configurations")
     print("best:", {k: result.best[k]
@@ -326,19 +335,20 @@ def cmd_synth(cfg):
 
 def cmd_masks(cfg):
     _require(cfg, "ckpt", "masks")
+    top = _at_least(cfg, "top", 0)
     ds = _load_dataset(cfg, "masks")
     net, params, _ = checkpoint.load_checkpoint(cfg["ckpt"])
+    indices = range(len(ds))
+    ranking = experiment.mask_significance(
+        ds, indices, net, params, jsd_weight=_at_least(cfg, "jsd_weight", 0))
     out_dir = Path(cfg["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    indices = range(len(ds))
-    ranking = experiment.mask_significance(ds, indices, net, params,
-                                           jsd_weight=cfg["jsd_weight"])
     with open(out_dir / "significance.csv", "w", newline="") as f:
         w = csv.DictWriter(f, fieldnames=list(ranking[0].keys()))
         w.writeheader()
         w.writerows(ranking)
     written = experiment.export_mask_dots(ds, indices, net, params, out_dir,
-                                          top=cfg["top"])
+                                          top=top)
     print(f"wrote significance.csv and {len(written)} DOT files to {out_dir}")
     for row in ranking[:5]:
         print(f"  layer {row['layer']} mask {row['mask']}: "

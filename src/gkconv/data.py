@@ -64,47 +64,40 @@ class GraphDataset:
         return len(self.graphs)
 
 
-def _read_int_lines(path: Path, what: str):
-    out = []
+def _read_rows(path: Path, what: str, parse):
+    """parse of every non-blank line of path, stripped; the ValueError
+    parse raises for a bad line is reported with the line number."""
     try:
         text = path.read_text()
     except OSError as e:
         raise DatasetError(f"cannot read {what} file {path}: {e}") from e
-    for ln, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        # attribute files may carry extra comma-separated columns; the
-        # first column is the discrete label
-        tok = line.split(",")[0].strip()
-        try:
-            out.append(int(float(tok)))
-        except ValueError as e:
-            raise DatasetError(
-                f"{path} line {ln}: expected an integer, got {line!r}") from e
-    return out
-
-
-def _read_edges(path: Path):
     out = []
-    try:
-        text = path.read_text()
-    except OSError as e:
-        raise DatasetError(f"cannot read edge file {path}: {e}") from e
     for ln, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise DatasetError(
-                f"{path} line {ln}: expected 'u, v', got {line!r}")
-        try:
-            out.append((int(parts[0]), int(parts[1])))
-        except ValueError as e:
-            raise DatasetError(
-                f"{path} line {ln}: non-integer endpoint in {line!r}") from e
+        if line.strip():
+            try:
+                out.append(parse(line.strip()))
+            except ValueError as e:
+                raise DatasetError(f"{path} line {ln}: {e}") from e
     return out
+
+
+def _int_row(line):
+    # attribute files may carry extra comma-separated columns; the
+    # first column is the discrete label
+    try:
+        return int(float(line.split(",")[0]))
+    except (ValueError, OverflowError):  # float("inf") parses
+        raise ValueError(f"expected an integer, got {line!r}") from None
+
+
+def _edge_row(line):
+    parts = line.split(",")
+    if len(parts) != 2:
+        raise ValueError(f"expected 'u, v', got {line!r}")
+    try:
+        return int(parts[0]), int(parts[1])
+    except ValueError:
+        raise ValueError(f"non-integer endpoint in {line!r}") from None
 
 
 def _dataset_dir(root, name: str) -> Path:
@@ -122,11 +115,11 @@ def load_benchmark(root, name: str) -> GraphDataset:
         raise DatasetNotFoundError(
             f"dataset {name!r} not found under {Path(root)} "
             f"(missing {a_path})")
-    indicator = _read_int_lines(d / f"{name}_graph_indicator.txt",
-                                "graph indicator")
-    graph_labels_raw = _read_int_lines(d / f"{name}_graph_labels.txt",
-                                       "graph labels")
-    edges = _read_edges(a_path)
+    indicator = _read_rows(d / f"{name}_graph_indicator.txt",
+                           "graph indicator", _int_row)
+    graph_labels_raw = _read_rows(d / f"{name}_graph_labels.txt",
+                                  "graph labels", _int_row)
+    edges = _read_rows(a_path, "edge", _edge_row)
     n_nodes = len(indicator)
     n_graphs = len(graph_labels_raw)
     gids = sorted(set(indicator))
@@ -138,7 +131,7 @@ def load_benchmark(root, name: str) -> GraphDataset:
 
     node_label_path = d / f"{name}_node_labels.txt"
     if node_label_path.exists():
-        node_labels_raw = _read_int_lines(node_label_path, "node labels")
+        node_labels_raw = _read_rows(node_label_path, "node labels", _int_row)
         if len(node_labels_raw) != n_nodes:
             raise DatasetError(
                 f"{name}: {len(node_labels_raw)} node labels for "

@@ -72,9 +72,6 @@ class LabeledGraph:
     def num_edges(self) -> int:
         return len(self.edges)
 
-    def degree(self, v: int) -> int:
-        return len(self.adj[v])
-
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adj[u] if 0 <= u < self.num_nodes else False
 
@@ -92,16 +89,6 @@ class LabeledGraph:
         g.labels = labels
         g.adj = self.adj
         return g
-
-    def permuted(self, perm) -> "LabeledGraph":
-        """Relabel nodes by perm (old index -> new index)."""
-        if sorted(perm) != list(range(self.num_nodes)):
-            raise GraphError("perm is not a permutation of the node ids")
-        new_labels = [0] * self.num_nodes
-        for old, new in enumerate(perm):
-            new_labels[new] = self.labels[old]
-        new_edges = [(perm[a], perm[b]) for a, b in self.edges]
-        return LabeledGraph(self.num_nodes, new_edges, new_labels)
 
     def __repr__(self):
         return (f"LabeledGraph(n={self.num_nodes}, m={self.num_edges}, "
@@ -277,13 +264,6 @@ def to_dot(g: LabeledGraph, name: str = "G", colors=None) -> str:
 
 
 # small named builders used by datasets, reports, and tests
-
-def path_graph(n, labels=None) -> LabeledGraph:
-    if n < 1:
-        raise GraphError("path needs >= 1 node")
-    edges = [(i, i + 1) for i in range(n - 1)]
-    return LabeledGraph(n, edges, labels if labels is not None else [0] * n)
-
 
 def cycle_graph(n, labels=None) -> LabeledGraph:
     if n < 3:

@@ -108,11 +108,14 @@ class WlColorTable:
         self._next = nxt
         return out
 
-    def union_colors(self, union: "WlUnion", indptr, indices) -> np.ndarray:
+    def union_colors(self, union: "WlUnion", indptr, indices,
+                     d: int) -> np.ndarray:
         """This table's color of every column of a refined union, given
-        the union's CSR adjacency. Each class's signature is read off one
-        of its nodes and interned once, so union histograms and this
-        table's histograms share color ids."""
+        the union's CSR adjacency, or -1 for a color no graph of at most
+        d nodes can hold. A class's signature is read off one of its
+        nodes and interned once, so union histograms and this table's
+        histograms share color ids. It is interned only if its degree is
+        below d and its own and neighbor colors were; labels always are."""
         if len(union.labels) and union.labels[-1] >= self.num_labels:
             raise KernelError(
                 f"node label outside dictionary of size {self.num_labels}")
@@ -126,14 +129,18 @@ class WlColorTable:
             rep = np.empty(int(union.offsets[t + 2] - union.offsets[t + 1]),
                            dtype=np.int64)
             rep[cls] = np.arange(len(cls))  # any node of a class will do
-            lo, deg = indptr[rep], indptr[rep + 1] - indptr[rep]
-            nb = node_color[indices[_ranges(lo, deg)]]
-            nb = nb[np.lexsort((nb, np.repeat(np.arange(len(rep)), deg)))]
-            flat, ends = nb.tolist(), np.cumsum(deg).tolist()
-            col = np.array(self.intern(t, [
+            col = np.full(len(rep), -1, dtype=np.int64)
+            deg = indptr[rep + 1] - indptr[rep]
+            live = np.flatnonzero((deg < d) & (node_color[rep] >= 0))
+            nb = node_color[indices[_ranges(indptr[rep[live]], deg[live])]]
+            owner = np.repeat(np.arange(len(live)), deg[live])
+            nb = nb[np.lexsort((nb, owner))]  # owner stays in order
+            ok = np.bincount(owner[nb < 0], minlength=len(live)) == 0
+            live, nb = live[ok], nb[ok[owner]]
+            flat, ends = nb.tolist(), np.cumsum(deg[live]).tolist()
+            col[live] = self.intern(t, [
                 (own, tuple(flat[a:b])) for own, a, b in
-                zip(node_color[rep].tolist(), [0] + ends[:-1], ends)]),
-                dtype=np.int64)
+                zip(node_color[rep[live]].tolist(), [0] + ends[:-1], ends)])
             colors.append(col)
             node_color = col[cls]
         return np.concatenate(colors)
@@ -159,7 +166,7 @@ def graphlet3_vector(g: LabeledGraph) -> np.ndarray:
         # every triangle is counted once per edge, i.e. three times total
         tri += len(nbr[a] & nbr[b])
     tri //= 3
-    wedges = sum(d * (d - 1) // 2 for d in map(g.degree, range(g.num_nodes)))
+    wedges = sum(d * (d - 1) // 2 for d in map(len, g.adj))
     return np.array([tri, wedges - 3 * tri], dtype=np.float64)
 
 

@@ -223,14 +223,18 @@ class _WlRowStore:
     with the balls of every other new graph of the batch
     (``refine_union``), maps the union's classes to the colors of the
     table, which also refines the mask graphs, and appends one row per
-    ball; a color id is its column. ``indptr``/``indices``/``counts`` are
-    the rows, ``norms`` their histogram norms and ``rows`` each graph's
-    row range. Stored rows stay valid as new colors extend the table,
-    since existing ids never move.
+    ball; a color id is its column. A row keeps only the colors a graph
+    of at most d = ``max_mask_nodes`` nodes can hold (``union_colors``):
+    no mask or candidate holds another, so the entries left out add 0 to
+    every dot product. ``indptr``/``indices``/``counts`` are the rows,
+    ``norms`` their full histogram norms and ``rows`` each graph's row
+    range. Stored rows stay valid as new colors extend the table, since
+    existing ids never move.
     """
 
-    def __init__(self, table: WlColorTable):
+    def __init__(self, table: WlColorTable, d: int):
         self.table = table
+        self.d = d
         # colors and counts as int32 halve the rows: a color id is below
         # the table's entry count and a count below a ball's size, and
         # int32 counts times float64 weights are exact
@@ -266,19 +270,20 @@ class _WlRowStore:
                              dtype=np.int64, count=len(sizes))
         union = refine_union(indptr, nbrs, labels[origin], sizes,
                              self.table.iterations)
-        color = self.table.union_colors(union, indptr, nbrs)
-        order = np.argsort(union.part, kind="stable")
-        row_ptr = np.searchsorted(union.part[order],
-                                  np.arange(len(sizes) + 1))
+        color = np.repeat(self.table.union_colors(union, indptr, nbrs, self.d),
+                          np.diff(union.col_ptr))
+        at = np.flatnonzero(color >= 0)
+        at = at[np.argsort(union.part[at], kind="stable")]  # row by row
+        row_ptr = np.searchsorted(union.part[at], np.arange(len(sizes) + 1))
         first = len(self.norms)
         ends = np.cumsum([first] + [g.num_nodes for g in graphs]).tolist()
         self.rows.update(zip(graphs, zip(ends, ends[1:])))
         self.indptr = np.concatenate((self.indptr,
                                       row_ptr[1:] + self.indptr[-1]))
-        self.indices = np.concatenate((self.indices, np.repeat(
-            color, np.diff(union.col_ptr))[order].astype(np.int32)))
+        self.indices = np.concatenate(
+            (self.indices, color[at].astype(np.int32)))
         self.counts = np.concatenate(
-            (self.counts, union.count[order].astype(np.int32)))
+            (self.counts, union.count[at].astype(np.int32)))
         self.norms = np.concatenate((self.norms, union.norms))
 
 
@@ -332,8 +337,8 @@ class ForwardEngine:
                                if layer.kernel.kind == WL_SUBTREE}
         first = net.layers[0]
         self._l0_store = _WlRowStore(WlColorTable(
-            first.input_dictionary.size, first.kernel.wl_iterations)) \
-            if first.kernel.kind == WL_SUBTREE else None
+            first.input_dictionary.size, first.kernel.wl_iterations),
+            first.max_mask_nodes) if first.kernel.kind == WL_SUBTREE else None
         self._g3_rows = {}   # (base graph, radius) -> (n, 2) graphlet counts
         self._stats = {}     # layer -> {mask graph: (vector, norm)}, for the
         #                      bank and the candidates its batch scored
@@ -434,6 +439,10 @@ class ForwardEngine:
                 return lambda hist: csc_dot(*csc, *hist, len(norms)), norms
 
             def stat(g):
+                deg = max(map(len, g.adj), default=0)
+                if deg >= store.d:  # the rows hold no color of such a node
+                    raise ModelError(f"layer-0 probe has a node of degree "
+                                     f"{deg}, above the bound {store.d - 1}")
                 # interns the mask's colors into the store's table
                 hist = store.table.histogram(g)
                 counts = np.fromiter(hist.values(), dtype=np.float64,

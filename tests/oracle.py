@@ -1,4 +1,5 @@
-"""Per-graph reference paths that the batched code is checked against.
+"""Per-graph reference paths that the batched code is checked against,
+and the graph builders only tests use.
 
 ``gkc_forward`` and ``network_forward`` run the network on one graph at a
 time from plain ego subgraphs and ``kernel_matrix``, sharing no cache
@@ -14,6 +15,27 @@ from gkconv.head import HeadError, MlpParams
 from gkconv.kernels import kernel_matrix
 from gkconv.model import LayerConfig, ModelError, ModelParams, NetworkConfig
 from gkconv.quantizer import CodebookStateError, assign
+
+
+# --- graphs -------------------------------------------------------------
+
+def path_graph(n, labels=None) -> graphs.LabeledGraph:
+    if n < 1:
+        raise graphs.GraphError("path needs >= 1 node")
+    edges = [(i, i + 1) for i in range(n - 1)]
+    return graphs.LabeledGraph(n, edges,
+                               labels if labels is not None else [0] * n)
+
+
+def permuted(g, perm) -> graphs.LabeledGraph:
+    """g with its nodes renamed by perm (old index -> new index)."""
+    if sorted(perm) != list(range(g.num_nodes)):
+        raise graphs.GraphError("perm is not a permutation of the node ids")
+    new_labels = [0] * g.num_nodes
+    for old, new in enumerate(perm):
+        new_labels[new] = g.labels[old]
+    new_edges = [(perm[a], perm[b]) for a, b in g.edges]
+    return graphs.LabeledGraph(g.num_nodes, new_edges, new_labels)
 
 
 # --- network ------------------------------------------------------------

@@ -229,6 +229,29 @@ def test_masks_requires_ckpt(corpus, capsys):
     assert "requires --ckpt" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cmd,flag,value", [
+    ("masks", "--jsd-weight", "nan"), ("masks", "--jsd-weight", "inf"),
+    ("masks", "--jsd-weight", "-1"), ("masks", "--top", "-1"),
+    ("cv", "--jobs", "0"), ("cv", "--jobs", "-1"), ("grid", "--jobs", "0"),
+    ("grid", "--jobs", "-1"), ("grid", "--sample", "-1")])
+def test_out_of_range_numbers_are_usage_errors_before_writing(
+        corpus, run_dir, tmp_path, capsys, cmd, flag, value):
+    out = tmp_path / "out"
+    argv = [cmd, "--data", str(corpus), "--name", "triangle_cycle",
+            "--out", str(out), flag, value]
+    if cmd == "masks":
+        argv += ["--ckpt", str(run_dir[0] / "model.gkc")]
+    else:
+        argv += TINY + (["--folds", "2"] if cmd == "cv" else
+                        ["--grid-masks", "2", "--grid-nodes", "3",
+                         "--grid-radius", "1", "--grid-layers", "1"])
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage error: {flag} must be finite and >= ")
+    assert len(err.splitlines()) == 1  # no traceback
+    assert not out.exists()
+
+
 def test_cv_command(corpus, tmp_path, capsys):
     out = tmp_path / "cv"
     code = main(["cv", "--data", str(corpus), "--name", "triangle_cycle",

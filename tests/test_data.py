@@ -118,6 +118,9 @@ def test_load_rejects_garbage_label_lines(tmp_path):
     tiny_corpus(tmp_path, ylab=["1", "x"])
     with pytest.raises(DatasetError, match="expected an integer"):
         load_benchmark(tmp_path, "tiny")
+    (tmp_path / "tiny" / "tiny_graph_labels.txt").write_text("1\ninf\n")
+    with pytest.raises(DatasetError, match="expected an integer, got 'inf'"):
+        load_benchmark(tmp_path, "tiny")
 
 
 def test_dataset_validation():

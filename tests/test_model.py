@@ -4,6 +4,7 @@ The engine must agree bitwise with the per-graph reference path; the
 frozen kernel-response values back the triangle-discrimination claim.
 """
 
+import copy
 import gc
 import weakref
 from unittest import mock
@@ -20,8 +21,7 @@ from gkconv import kernels, model
 from gkconv.data import generate_triangle_cycle_dataset, split_holdout
 from gkconv.drd import EditProbabilities, init_mask_bank
 from gkconv.graphs import (LabelDictionary, LabeledGraph, complete_graph,
-                           cycle_graph, disjoint_union, path_graph,
-                           star_graph)
+                           cycle_graph, disjoint_union, star_graph)
 from gkconv.kernels import (GRAPHLET3, WL_SUBTREE, KernelConfig,
                             WlColorTable, graphlet3_vector, kernel_matrix)
 from gkconv.model import (CodebookStateError, ForwardEngine, LayerConfig,
@@ -31,7 +31,7 @@ from gkconv.graphs import ego_subgraph
 from gkconv.quantizer import Codebook, assign
 from gkconv.rng import stream
 from conftest import random_graph, to_nx
-from oracle import gkc_forward, network_forward
+from oracle import gkc_forward, network_forward, path_graph
 
 WL1 = KernelConfig(kind=WL_SUBTREE, wl_iterations=1, normalized=True)
 WL2 = KernelConfig(kind=WL_SUBTREE, wl_iterations=2, normalized=True)
@@ -413,10 +413,13 @@ def test_layer0_rows_stay_valid_when_a_later_batch_adds_colors():
     assert not hasattr(lt, "egos")  # the engine builds no ego graphs
     egos = batch_egos(net, params, second, trace, 0)
     probes = [paw([1, 1, 1, 0]), paw([2, 2, 2, 2]), LabeledGraph(1, [], [2]),
-              star_graph(7, [1] * 8), cycle_graph(4, [2, 1, 2, 1])]
+              star_graph(3, [1] * 4), cycle_graph(4, [2, 1, 2, 1])]
     for probe in probes:
         want = kernel_matrix(WL3, egos, [probe])[:, 0]
         assert np.array_equal(lt.responses(probe), want)
+    # the rows hold no color of a node with more than 3 neighbors
+    with pytest.raises(ModelError, match="degree 7"):
+        lt.responses(star_graph(7, [1] * 8))
     # the first batch's rows are still valid under the grown table
     again = engine.forward_graphs(params, first + second[:1]).features
     for g, a, b in zip(first, before, again):
@@ -453,6 +456,65 @@ def test_layer0_refines_each_graph_once(monkeypatch):
     assert {id(g) for g in table_refines} == \
         {id(mk.graph) for mk in params.masks[0]}
     assert len(table_refines) == len(params.masks[0])
+
+
+def reachable_colors(table, d):
+    """Every color of table that a graph of at most d nodes can hold:
+    the labels, and each refined color whose signature lists at most
+    d - 1 neighbor colors, all of them reachable, as is its own."""
+    out = set(range(table.num_labels))
+    for sigs in table._tables:
+        out |= {c for (own, nbrs), c in sigs.items()
+                if len(nbrs) < d and own in out and out.issuperset(nbrs)}
+    return out
+
+
+@pytest.mark.parametrize("kernel", [WL3, WL3_RAW])
+def test_layer0_rows_keep_the_colors_of_masks_at_the_bound(kernel):
+    # masks at d = 5 nodes with nodes of degree d - 1 (a star, K_d) and
+    # the longest path; a corpus with nodes of degree d - 1, d and d + 1
+    d = 5
+    net = NetworkConfig(layers=(layer(num_masks=3, nodes=d, radius=2,
+                                      kernel=kernel, dict_size=2),),
+                        quantizer_k=())
+    masks = [star_graph(d - 1, [0, 1, 1, 0, 1]),
+             complete_graph(d, [1] * d), path_graph(d, [0, 1, 0, 1, 1])]
+    params = ModelParams(masks=[[fixed_mask(g) for g in masks]],
+                         codebooks=[], mlp=None)
+    rng = np.random.default_rng(36)
+    graphs = [star_graph(d - 1, [0, 1, 1, 0, 1]), star_graph(d, [0] * 6),
+              star_graph(d + 1, [0] + [1] * 6), complete_graph(d, [1] * 5),
+              complete_graph(d + 1, [1] * 6), complete_graph(d + 2, [0] * 7),
+              disjoint_union(complete_graph(d), masks[2])]
+    graphs += [random_graph(rng, n_max=10, n_min=6, dict_size=2, p=0.5)
+               for _ in range(5)]
+    engine = ForwardEngine(net)
+    trace = engine.forward_graphs(params, graphs)
+    lt = trace.layers[0]
+    egos = batch_egos(net, params, graphs, trace, 0)
+    assert {d - 1, d, d + 1} <= {len(ns) for g in egos for ns in g.adj}
+    assert np.array_equal(lt.before, kernel_matrix(kernel, egos, masks))
+    probes = masks + [star_graph(d - 1, [1] * d), complete_graph(3),
+                      cycle_graph(d, [0, 1, 1, 0, 0])]
+    for probe in probes:
+        want = kernel_matrix(kernel, egos, [probe])[:, 0]
+        assert np.array_equal(lt.responses(probe), want)
+    # each stored row is its ego's full histogram without the colors no
+    # graph of at most d nodes holds, and leaves out some entries
+    store = engine._l0_store
+    table = copy.deepcopy(store.table)
+    keep = reachable_colors(store.table, d)
+    assert set(store.indices.tolist()) <= keep
+    full = [table.histogram(g) for g in egos]
+    assert len(store.indices) < sum(map(len, full))
+    for i, hist in enumerate(full):
+        lo, hi = store.indptr[i], store.indptr[i + 1]
+        row = dict(zip(store.indices[lo:hi].tolist(),
+                       store.counts[lo:hi].tolist()))
+        assert row == {c: n for c, n in hist.items() if c in keep}
+        assert store.norms[i] == np.sqrt(sum(n * n for n in hist.values()))
+    with pytest.raises(ModelError, match=f"degree {d}, above the bound"):
+        lt.responses(star_graph(d, [0] * (d + 1)))
 
 
 # -- layer 0: mask columns over the stored rows ----------------------------
@@ -492,7 +554,7 @@ def test_layer0_columns_follow_batches_and_mask_edits(kernel):
              LabeledGraph(0, [], [])]
     candidate = fixed_mask(cycle_graph(4, [1, 2, 1, 0]))
     probes = [paw([1, 1, 1, 0]), LabeledGraph(1, [], [2]),
-              star_graph(7, [1] * 8), candidate.graph]
+              star_graph(3, [1] * 4), candidate.graph]
     engine = ForwardEngine(net)
     # new graphs and an empty one, every stored row in order, a column
     # blanked; the same batch again is served from the memo, which the
@@ -519,6 +581,8 @@ def test_layer0_columns_follow_batches_and_mask_edits(kernel):
     params.masks[0][2] = candidate
     trace = assert_layer0_batch_exact(engine, net, params, pool[::-1],
                                       probes)
+    with pytest.raises(ModelError, match="degree 7"):
+        trace.layers[0].responses(star_graph(7, [1] * 8))
     bank, memo = engine._memo[0]
     assert bank == tuple(mk.graph for mk in params.masks[0])
     assert set(memo) == set(pool)
