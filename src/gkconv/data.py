@@ -82,12 +82,15 @@ def _read_rows(path: Path, what: str, parse):
 
 
 def _int_row(line):
-    # attribute files may carry extra comma-separated columns; the
-    # first column is the discrete label
+    # attribute files may carry extra comma-separated columns; the first
+    # column is the discrete label, an integer or integer-valued float
     try:
-        return int(float(line.split(",")[0]))
-    except (ValueError, OverflowError):  # float("inf") parses
-        raise ValueError(f"expected an integer, got {line!r}") from None
+        value = float(line.split(",")[0])
+    except ValueError:
+        value = float("nan")
+    if not value.is_integer():  # nor inf, nan or a fraction
+        raise ValueError(f"expected an integer, got {line!r}")
+    return int(value)
 
 
 def _edge_row(line):

@@ -13,7 +13,7 @@ concatenated for the readout.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache
 from itertools import chain
 
 import numpy as np
@@ -22,8 +22,8 @@ import scipy.sparse as sp
 from .graphs import (EgoBalls, LabeledGraph, LabelDictionary, _ranges,
                      ego_balls, induced_subgraph, max_component_nodes)
 from .kernels import (GRAPHLET3, WL_SUBTREE, KernelConfig, WlColorTable,
-                      csc_dot, graphlet3_union, graphlet3_vector,
-                      refine_union, safe_divide)
+                      graphlet3_union, graphlet3_vector, refine_union,
+                      safe_divide)
 from .quantizer import CodebookStateError, assign, fit_update
 
 
@@ -198,13 +198,15 @@ class ModelParams:
 
 @dataclass
 class LayerBatch:
-    """Per-layer trace of one batched forward pass, consumed by the mask
-    edit search: the response matrix under the current masks and an
-    evaluator that scores a candidate mask graph against the egos of
-    every node of the batch, both in batch node order."""
+    """Per-layer trace of one batched forward pass for the mask edit
+    search: the responses to the current masks and the closure that
+    scores any mask graphs against the same egos, in batch node order."""
 
     before: np.ndarray
-    responses: object  # callable: mask LabeledGraph -> (n_total,) ndarray
+    bank: object  # callable: k mask LabeledGraphs -> (n_total, k) ndarray
+
+    def responses(self, g) -> np.ndarray:  # one mask graph's column
+        return self.bank([g])[:, 0]
 
 
 @dataclass
@@ -236,8 +238,8 @@ class _WlRowStore:
         self.table = table
         self.d = d
         # colors and counts as int32 halve the rows: a color id is below
-        # the table's entry count and a count below a ball's size, and
-        # int32 counts times float64 weights are exact
+        # the table's entry count and a count below a ball's size; batch
+        # casts the counts it gathers to float64, which is exact
         self.indptr = np.zeros(1, dtype=np.int64)
         self.indices = np.empty(0, dtype=np.int32)
         self.counts = np.empty(0, dtype=np.int32)
@@ -245,9 +247,9 @@ class _WlRowStore:
         self.rows = {}      # graph -> (first row, end row)
 
     def batch(self, graphs, balls_of):
-        """The rows of graphs, in batch order, as CSC arrays (col_ptr,
-        row, counts) plus their norms. The graphs not yet stored are
-        stored first; balls_of maps them to the union of their balls."""
+        """The rows of graphs, in batch order, as one float64 CSR matrix
+        over the colors up to the largest they hold, plus their norms. New
+        graphs are stored first; balls_of gives the union of their balls."""
         new = [g for g in dict.fromkeys(graphs) if g not in self.rows]
         if new:
             self._add(new, *balls_of(new))
@@ -258,10 +260,10 @@ class _WlRowStore:
         span = self.indptr[rows + 1] - lo
         at = _ranges(lo, span)
         indices = self.indices[at]
-        mat = sp.csr_matrix(
-            (self.counts[at], indices, np.concatenate(([0], np.cumsum(span)))),
-            shape=(len(rows), int(indices.max(initial=0)) + 1)).tocsc()
-        return mat.indptr, mat.indices, mat.data, self.norms[rows]
+        mat = sp.csr_matrix((self.counts[at].astype(np.float64), indices,
+                             np.concatenate(([0], np.cumsum(span)))),
+                            shape=(len(rows), int(indices.max(initial=0)) + 1))
+        return mat, self.norms[rows]
 
     def _add(self, graphs, indptr, nbrs, origin, sizes):
         """Refine the balls of graphs (their union, as ``_concat_balls``
@@ -310,14 +312,15 @@ class ForwardEngine:
     layer above the first reads on every batch.
 
     Every layer kind plugs into one responses closure (``_column``),
-    which scores a mask graph against the ego of every node of the batch.
-    A kind supplies the batch's rows, built on the first call, and a
-    mask's statistic: layer 0 gathers its rows from ``_WlRowStore``, which
-    refines each new graph's balls once (``kernels.refine_union``), and a
-    mask's histogram over the store's colors; a WL layer above the first
-    refines the union of the batch's balls under its junction's labels
-    and takes a mask's norm; a graphlet3 layer reads one (n, 2) block of
-    counts per graph and radius, each counted once
+    which scores mask graphs against the ego of every node of the batch,
+    one (n, k) block for k masks. A kind supplies the batch's rows, built
+    on the first call, and a mask's statistic: layer 0 gathers its rows
+    from ``_WlRowStore`` as one float CSR matrix and takes a mask's
+    histogram over the store's colors, so a bank is one product of the
+    rows with a dense (colors, k) matrix of counts; a WL layer above the
+    first refines the union of the batch's balls under its junction's
+    labels and takes a mask's norm; a graphlet3 layer reads one (n, 2)
+    block of counts per graph and radius, each counted once
     (``kernels.graphlet3_union``), and a mask's counts.
 
     One memo serves every layer (``_responses``): each graph's input
@@ -346,25 +349,25 @@ class ForwardEngine:
         #                      {graph: (input labels, (n, m) responses)})
 
     def _responses(self, l: int, graphs, slices, labels, mask_graphs,
-                   column):
+                   bank):
         """Layer l's (n, m) responses to the batch, its graphs at row
-        slices of the flat input labels, from the responses closure column.
+        slices of the flat input labels, from the responses closure bank.
 
         When every graph of the batch is kept in the memo under these
         labels and this mask bank, the kept blocks are concatenated into
-        a new array. Otherwise column gives every mask's responses, kept
+        a new array. Otherwise bank gives every mask's responses, kept
         until the bank changes as per-graph views into one copy of the
         batch's labels and responses (zero_cols writes into z)."""
-        bank = tuple(mask_graphs)
+        masks = tuple(mask_graphs)
         # LabeledGraph has no __eq__, so the banks compare by identity
-        if self._memo.get(l, (None,))[0] != bank:
-            self._memo[l] = (bank, {})  # releases the old bank's masks
+        if self._memo.get(l, (None,))[0] != masks:
+            self._memo[l] = (masks, {})  # releases the old bank's masks
         memo = self._memo[l][1]
         kept = [memo.get(g) for g in graphs]
         if None not in kept and np.array_equal(
                 np.concatenate([k[0] for k in kept]), labels):
             return np.concatenate([k[1] for k in kept])
-        z = np.column_stack([column(g) for g in mask_graphs])
+        z = bank(mask_graphs)
         kept_labels, kept_z = labels.copy(), z.copy()
         for g, (a, b) in zip(graphs, slices):
             memo[g] = (kept_labels[a:b], kept_z[a:b])
@@ -416,16 +419,17 @@ class ForwardEngine:
     def _column(self, l: int, layer: LayerConfig, graphs, labels,
                 mask_graphs):
         """Layer l's responses closure over the batch, whose flat input
-        labeling is labels: mask graph -> its (n,) responses. rows() gives
-        the batch side, a dot function and the egos' norms; stat(g) a
-        mask's vector (a deep WL mask's is the graph) and norm. The stats
-        of the bank and of every candidate the batch scores are kept until
-        the next batch, which keeps its own bank's only."""
+        labeling is labels: k mask graphs -> their (n, k) responses. rows()
+        gives the batch side, a dot function of k mask vectors and the
+        egos' norms; stat(g) a mask's vector (a deep WL mask's is the graph)
+        and norm. The stats of the bank and of every candidate the batch
+        scores are kept until the next batch, which keeps its bank's only."""
         kernel, radius = layer.kernel, layer.radius
         if kernel.kind == GRAPHLET3:
             def rows():
                 lv = self._graphlet_rows(graphs, radius)
-                return partial(np.matmul, lv), np.sqrt((lv * lv).sum(axis=1))
+                return (lambda vecs: lv @ np.array(vecs).T,
+                        np.sqrt((lv * lv).sum(axis=1)))
 
             def stat(g):
                 rv = graphlet3_vector(g)
@@ -434,9 +438,15 @@ class ForwardEngine:
             store = self._l0_store
 
             def rows():
-                *csc, norms = store.batch(
+                mat, norms = store.batch(
                     graphs, lambda new: self._ego_balls(new, radius))
-                return lambda hist: csc_dot(*csc, *hist, len(norms)), norms
+                def dot(hists):  # a color past the last column is in no row
+                    counts = np.zeros((mat.shape[1], len(hists)))
+                    for j, (colors, c) in enumerate(hists):
+                        keep = colors < len(counts)
+                        counts[colors[keep], j] = c[keep]
+                    return mat @ counts
+                return dot, norms
 
             def stat(g):
                 deg = max(map(len, g.adj), default=0)
@@ -445,17 +455,16 @@ class ForwardEngine:
                                      f"{deg}, above the bound {store.d - 1}")
                 # interns the mask's colors into the store's table
                 hist = store.table.histogram(g)
-                counts = np.fromiter(hist.values(), dtype=np.float64,
-                                     count=len(hist))
-                colors = np.fromiter(hist.keys(), dtype=np.int64,
-                                     count=len(hist))
+                colors, counts = np.array(list(hist.items()),
+                                          dtype=np.int64).reshape(-1, 2).T
                 return (colors, counts), float(np.sqrt(counts @ counts))
         else:
             def rows():
                 indptr, nbrs, origin, sizes = self._ego_balls(graphs, radius)
                 union = refine_union(indptr, nbrs, labels[origin], sizes,
                                      kernel.wl_iterations)
-                return union.dot, union.norms
+                return (lambda gs: np.column_stack([union.dot(g) for g in gs]),
+                        union.norms)
 
             def stat(g):
                 if not kernel.normalized:
@@ -469,15 +478,15 @@ class ForwardEngine:
         stats = self._stats[l] = {g: kept[g] if g in kept else stat(g)
                                   for g in mask_graphs}
 
-        def column(g):
+        def bank(gs):
             dot, norms = rows()
-            if g not in stats:
-                stats[g] = stat(g)
-            vec, norm = stats[g]
-            col = dot(vec)
-            return safe_divide(col, norms * norm) if kernel.normalized else col
+            stats.update((g, stat(g)) for g in gs if g not in stats)
+            vecs, mask_norms = zip(*(stats[g] for g in gs))
+            z = dot(vecs)
+            return (safe_divide(z, norms[:, None] * mask_norms)
+                    if kernel.normalized else z)
 
-        return column
+        return bank
 
     def forward_graphs(self, params: ModelParams, graphs,
                        fit_rng: np.random.Generator = None,
@@ -501,15 +510,13 @@ class ForwardEngine:
         for l, layer in enumerate(net.layers):
             _check_layer_input(layer, labels_flat, params.masks[l])
             mask_graphs = [mk.graph for mk in params.masks[l]]
-            responses = self._column(l, layer, graphs, labels_flat,
-                                     mask_graphs)
+            bank = self._column(l, layer, graphs, labels_flat, mask_graphs)
             z_flat = self._responses(l, graphs, slices, labels_flat,
-                                     mask_graphs, responses)
+                                     mask_graphs, bank)
             for (zl, zi) in zero_cols:
                 if zl == l:
                     z_flat[:, zi] = 0.0
-            layer_traces.append(LayerBatch(before=z_flat,
-                                           responses=responses))
+            layer_traces.append(LayerBatch(before=z_flat, bank=bank))
             if l < net.num_layers - 1:
                 if net.quantizer_k[l] is None:
                     continue

@@ -1,5 +1,6 @@
 """Benchmark text I/O, synthetic corpora, and split handling."""
 
+import re
 import warnings
 
 import networkx as nx
@@ -120,6 +121,29 @@ def test_load_rejects_garbage_label_lines(tmp_path):
         load_benchmark(tmp_path, "tiny")
     (tmp_path / "tiny" / "tiny_graph_labels.txt").write_text("1\ninf\n")
     with pytest.raises(DatasetError, match="expected an integer, got 'inf'"):
+        load_benchmark(tmp_path, "tiny")
+
+
+def test_load_accepts_integer_valued_fields_only(tmp_path):
+    tiny_corpus(tmp_path, ylab=["1e0", "-1"],
+                ind=["2", "2.0", "2", "5e0", "5"],
+                nlab=["7.0, 1.5", "7", "3", "7e0", "3.000"])
+    ds = load_benchmark(tmp_path, "tiny")
+    assert ds.labels == [1, 0]
+    assert [g.labels for g in ds.graphs] == [(1, 1, 0), (1, 0)]
+
+
+@pytest.mark.parametrize("kind,field", [
+    ("graph_labels", "ylab"), ("graph_indicator", "ind"),
+    ("node_labels", "nlab")])
+def test_load_rejects_fractional_fields(tmp_path, kind, field):
+    # 1.7 read as 1 would merge two classes, graphs or node labels
+    good = dict(ylab=["1", "-1"], ind=["2", "2", "2", "5", "5"],
+                nlab=["7", "7", "3", "7", "3"])[field]
+    tiny_corpus(tmp_path, **{field: good[:1] + ["1.7"] + good[2:]})
+    path = tmp_path / "tiny" / f"tiny_{kind}.txt"
+    with pytest.raises(DatasetError, match=re.escape(
+            f"{path} line 2: expected an integer, got '1.7'")):
         load_benchmark(tmp_path, "tiny")
 
 

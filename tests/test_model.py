@@ -595,8 +595,8 @@ def test_layer0_columns_follow_batches_and_mask_edits(kernel):
 
 
 def test_layer0_warm_batch_is_a_row_gather(monkeypatch):
-    # stored graphs under unchanged masks: no kernel product and no CSC
-    # conversion, only gathers from the kept columns
+    # stored graphs under unchanged masks: no row matrix built, no kernel
+    # product and no CSC conversion, only gathers from the kept columns
     rng = np.random.default_rng(23)
     net, params = layer0_net_and_masks()
     graphs = [random_graph(rng, n_max=8, dict_size=3) for _ in range(6)]
@@ -606,12 +606,80 @@ def test_layer0_warm_batch_is_a_row_gather(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("warm layer-0 batch recomputed a response")
 
+    monkeypatch.setattr(model._WlRowStore, "batch", forbidden)
+    monkeypatch.setattr(scipy.sparse.csr_matrix, "__matmul__", forbidden)
     monkeypatch.setattr(kernels, "csc_dot", forbidden)
-    monkeypatch.setattr(model, "csc_dot", forbidden)
     monkeypatch.setattr(scipy.sparse._csr, "csr_tocsc", forbidden)
     warm = engine.forward_graphs(params, graphs[3:] + graphs[:2])
     for a, b in zip(cold.features[3:] + cold.features[:2], warm.features):
         assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("normalized", [True, False],
+                         ids=["normalized", "raw"])
+def test_layer0_bank_product_matches_per_mask_columns(normalized):
+    # the bank's one row product, column by column, is each mask's
+    # responses and kernel_matrix, bitwise. A candidate interned after
+    # the rows were built has colors past the row matrix's last column;
+    # scored again with itself among the batch's graphs, it holds the
+    # last column's color. Also a batch of one-node graphs, whose rows
+    # hold only isolated-node colors, and a batch with no rows at all.
+    rng = np.random.default_rng(31)
+    kernel = KernelConfig(kind=WL_SUBTREE, wl_iterations=2,
+                          normalized=normalized)
+    net = NetworkConfig(layers=(layer(num_masks=3, nodes=4, radius=1,
+                                      kernel=kernel, dict_size=3),))
+    params = make_params(net, rng)
+    late = complete_graph(4, [2, 1, 0, 2])
+    probes = [mk.graph for mk in params.masks[0]] + [late]
+
+    def width_after(engine, graphs):
+        trace = engine.forward_graphs(params, graphs)
+        lt = trace.layers[0]
+        block = lt.bank(probes)
+        egos = batch_egos(net, params, graphs, trace, 0)
+        assert np.array_equal(block, kernel_matrix(kernel, egos, probes))
+        assert np.array_equal(block[:, :-1], lt.before)
+        for i, g in enumerate(probes):
+            assert np.array_equal(lt.responses(g), block[:, i])
+        return engine._l0_store.batch(graphs, None)[0].shape[1]
+
+    for graphs in ([random_graph(rng, n_max=8, dict_size=3)
+                    for _ in range(5)],
+                   [LabeledGraph(1, [], [l]) for l in (0, 2, 2)],
+                   [LabeledGraph(0, [], [])]):
+        engine = ForwardEngine(net)
+        width = width_after(engine, graphs)
+        last = max(engine._l0_store.table.histogram(late))
+        assert last >= width
+        assert width_after(engine, graphs + [copy.copy(late)]) == last + 1
+
+
+def test_layer0_rows_die_with_their_batch(monkeypatch):
+    # a batch's closures hold its row matrix without a reference cycle,
+    # so dropping the trace frees the rows with no help from the collector
+    rng = np.random.default_rng(32)
+    net, params = layer0_net_and_masks()
+    graphs = [random_graph(rng, n_max=8, dict_size=3) for _ in range(4)]
+    engine = ForwardEngine(net)
+    built = []
+    batch = model._WlRowStore.batch
+
+    def kept_weakly(store, *args):
+        mat, norms = batch(store, *args)
+        built.append(weakref.ref(mat))
+        return mat, norms
+
+    monkeypatch.setattr(model._WlRowStore, "batch", kept_weakly)
+    gc.disable()
+    try:
+        trace = engine.forward_graphs(params, graphs)
+        trace.layers[0].responses(paw([1, 0, 2, 2]))
+        assert len(built) == 1 and built[0]() is not None
+        del trace
+        assert built[0]() is None
+    finally:
+        gc.enable()
 
 
 def test_layer0_store_keeps_only_the_current_bank():
