@@ -24,8 +24,8 @@ from itertools import combinations
 import numpy as np
 
 from .graphs import LabeledGraph
-from .model import LayerConfig, StructuralMask, random_connected_graph
-from .optim import Adam
+from .model import (EditProbabilities, LayerConfig, StructuralMask,
+                    random_connected_graph)
 
 EDGE_PHASE = "edge"
 LABEL_PHASE = "label"
@@ -33,42 +33,6 @@ LABEL_PHASE = "label"
 
 class DrdError(ValueError):
     pass
-
-
-class EditProbabilities:
-    """Edit sampling distribution, parameterized by free logits.
-
-    Edge logits (one per node pair) pass through a sigmoid: the sigmoid
-    is the add weight of an absent pair and its complement the removal
-    weight of a present pair. Label logits (one row per node) pass
-    through a row softmax. Candidate weights are renormalized over the
-    edits of the current workspace, so both phases always sample a
-    proper distribution. Each phase owns its Adam state and is only
-    stepped by edits of that phase.
-    """
-
-    __slots__ = ("edge_logits", "label_logits", "edge_opt", "label_opt")
-
-    def __init__(self, edge_logits, label_logits, edge_opt, label_opt):
-        self.edge_logits = edge_logits
-        self.label_logits = label_logits
-        self.edge_opt = edge_opt
-        self.label_opt = label_opt
-
-    @classmethod
-    def zeros(cls, d: int, dict_size: int, lr: float = 0.01):
-        """Flat initialization: every edit starts equally likely."""
-        return cls(edge_logits=np.zeros(d * (d - 1) // 2),
-                   label_logits=np.zeros((d, dict_size)),
-                   edge_opt=Adam(lr), label_opt=Adam(lr))
-
-    def edge_probs(self) -> np.ndarray:
-        return 1.0 / (1.0 + np.exp(-self.edge_logits))
-
-    def label_probs(self) -> np.ndarray:
-        z = self.label_logits - self.label_logits.max(axis=1, keepdims=True)
-        e = np.exp(z)
-        return e / e.sum(axis=1, keepdims=True)
 
 
 @cache

@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-import copy
 import csv
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from itertools import product
 from multiprocessing import get_context
 from pathlib import Path
@@ -152,42 +151,66 @@ def evaluate(engine: ForwardEngine, params: ModelParams, graphs, ys,
     return out.loss, out.accuracy
 
 
-def train(ds: GraphDataset, split: Split, net: NetworkConfig,
-          cfg: TrainConfig):
-    """Train one model on one split; returns (params, RunReport).
+class _Run:
+    """One training run, advanced an epoch at a time by epoch(). state()
+    is all of it in one flat dict: the params state, the best epoch's
+    under "best.", each Generator's bit_generator.state under "rng.",
+    step, bad_epochs, epoch (the next one's index) and the report."""
 
-    Keeps the parameters of the best validation epoch (total loss) and
-    restores them before the final test evaluation; stops early after
-    cfg.patience epochs without improvement.
-    """
-    if ds.num_classes < 2:
-        raise ExperimentError("dataset has a single class")
-    if ds.dictionary.size != net.layers[0].input_dictionary.size:
-        raise ExperimentError(
-            f"network expects dictionary size "
-            f"{net.layers[0].input_dictionary.size}, dataset has "
-            f"{ds.dictionary.size}")
-    train_graphs, train_ys = take(ds, split.train)
-    val_graphs, val_ys = take(ds, split.val)
-    test_graphs, test_ys = take(ds, split.test)
+    def __init__(self, ds: GraphDataset, split: Split, net: NetworkConfig,
+                 cfg: TrainConfig):
+        if ds.dictionary.size != net.layers[0].input_dictionary.size:
+            raise ExperimentError(
+                f"network expects dictionary size "
+                f"{net.layers[0].input_dictionary.size}, dataset has "
+                f"{ds.dictionary.size}")
+        self.net, self.cfg = net, cfg
+        self.train_set, self.val_set, self.test_set = (
+            take(ds, part) for part in (split.train, split.val, split.test))
+        self.params = init_params(net, ds.num_classes, cfg)
+        self.engine = ForwardEngine(net)
+        self.rngs = {"rng.kmeans": stream(cfg.seed, "kmeans"),
+                     "rng.batches": stream(cfg.seed, "batches")}
+        self.rngs.update((f"rng.drd.{l}.{i}", stream(cfg.seed, "drd", l, i))
+                         for l, layer in enumerate(net.layers)
+                         for i in range(layer.num_masks))
+        self.report, self.best = RunReport(), None  # best: a params state
+        self.step = self.bad_epochs = self.next_epoch = 0
 
-    params = init_params(net, ds.num_classes, cfg)
-    engine = ForwardEngine(net)
-    kmeans_rng = stream(cfg.seed, "kmeans")
-    batch_rng = stream(cfg.seed, "batches")
-    drd_rngs = {(l, i): stream(cfg.seed, "drd", l, i)
-                for l, layer in enumerate(net.layers)
-                for i in range(layer.num_masks)}
+    @property
+    def done(self) -> bool:
+        return self.report.stopped_early or self.next_epoch >= self.cfg.epochs
 
-    report = RunReport()
-    best_params = None
-    bad_epochs = 0
-    step = 0
-    n_train = len(train_graphs)
+    def state(self) -> dict:
+        out = self.params.state()
+        out.update((f"best.{key}", val)
+                   for key, val in (self.best or {}).items())
+        out.update((key, rng.bit_generator.state)
+                   for key, rng in self.rngs.items())
+        out.update(step=self.step, bad_epochs=self.bad_epochs,
+                   epoch=self.next_epoch, report=asdict(self.report))
+        return out
 
-    for epoch in range(cfg.epochs):
+    def load_state(self, state: dict) -> None:
+        self.params = ModelParams.from_state(self.net, state)
+        self.best = {key[5:]: val for key, val in state.items()
+                     if key.startswith("best.")} or None
+        for key, rng in self.rngs.items():
+            rng.bit_generator.state = state[key]
+        self.step, self.bad_epochs = state["step"], state["bad_epochs"]
+        self.next_epoch = state["epoch"]
+        self.report = RunReport(**{**state["report"], "rows": [
+            EpochRow(**row) for row in state["report"]["rows"]]})
+
+    def epoch(self) -> EpochRow:
+        """Train on every batch once, validate, and keep the params state
+        if validation improved; returns the epoch's report row."""
+        cfg, net, params, engine = self.cfg, self.net, self.params, self.engine
+        report, epoch = self.report, self.next_epoch
+        train_graphs, train_ys = self.train_set
+        n_train = len(train_graphs)
         t0 = time.perf_counter()
-        order = batch_rng.permutation(n_train)
+        order = self.rngs["rng.batches"].permutation(n_train)
         loss_sum = acc_sum = 0.0
         proposals = accepted_count = 0
         for start in range(0, n_train, cfg.batch_size):
@@ -195,7 +218,7 @@ def train(ds: GraphDataset, split: Split, net: NetworkConfig,
             graphs = [train_graphs[int(i)] for i in bidx]
             ys = [train_ys[int(i)] for i in bidx]
             trace = engine.forward_graphs(params, graphs,
-                                          fit_rng=kmeans_rng)
+                                          fit_rng=self.rngs["rng.kmeans"])
             out = head.readout(params.mlp, trace.features, ys,
                                cfg.jsd_weight)
             if not math.isfinite(out.loss.total):
@@ -209,26 +232,24 @@ def train(ds: GraphDataset, split: Split, net: NetworkConfig,
             # each mask's gradient column as a contiguous row: a strided
             # vector would send the edit estimate's dot product down
             # another BLAS path, with other rounding
-            dx_cols = np.ascontiguousarray(dx.T)
+            dx_cols = iter(np.ascontiguousarray(dx.T))
 
-            phase = drd.EDGE_PHASE if step % 2 == 0 else drd.LABEL_PHASE
-            col = 0
+            phase = drd.EDGE_PHASE if self.step % 2 == 0 else drd.LABEL_PHASE
             for l, layer in enumerate(net.layers):
                 lb = trace.layers[l]
                 for i in range(layer.num_masks):
                     params.masks[l][i], ok, est = drd.drd_step_batched(
-                        params.masks[l][i], phase, drd_rngs[(l, i)],
-                        lb.responses, lb.before[:, i], dx_cols[col + i])
+                        params.masks[l][i], phase,
+                        self.rngs[f"rng.drd.{l}.{i}"],
+                        lb.responses, lb.before[:, i], next(dx_cols))
                     if ok or est != 0.0:
                         proposals += 1
                         accepted_count += int(ok)
-                col += layer.num_masks
-            step += 1
+            self.step += 1
 
-        train_loss = loss_sum / n_train
-        train_acc = acc_sum / n_train
-        if val_graphs:
-            val_rep, val_acc = evaluate(engine, params, val_graphs, val_ys,
+        train_loss, train_acc = loss_sum / n_train, acc_sum / n_train
+        if self.val_set[0]:
+            val_rep, val_acc = evaluate(engine, params, *self.val_set,
                                         cfg.jsd_weight)
             val_loss = val_rep.total
         else:
@@ -236,30 +257,48 @@ def train(ds: GraphDataset, split: Split, net: NetworkConfig,
         if not math.isfinite(val_loss):
             raise TrainingDiverged(
                 f"non-finite validation loss at epoch {epoch}", report)
-        rate = accepted_count / proposals if proposals else 0.0
-        report.rows.append(EpochRow(
+        row = EpochRow(
             epoch=epoch, train_loss=train_loss, train_acc=train_acc,
             val_loss=val_loss, val_acc=val_acc,
             sec_per_epoch=time.perf_counter() - t0,
-            edit_accept_rate=rate))
+            edit_accept_rate=accepted_count / max(proposals, 1))
+        report.rows.append(row)
+        self.next_epoch += 1
 
         if val_loss < report.best_val_loss:
             report.best_val_loss = val_loss
             report.best_epoch = epoch
-            best_params = copy.deepcopy(params)
-            bad_epochs = 0
+            self.best = {key: val.copy() if isinstance(val, np.ndarray)
+                         else val for key, val in params.state().items()}
+            self.bad_epochs = 0
         else:
-            bad_epochs += 1
-            if bad_epochs >= cfg.patience:
+            self.bad_epochs += 1
+            if self.bad_epochs >= cfg.patience:
                 report.stopped_early = True
-                break
+        return row
 
-    if best_params is not None:
-        params = best_params
-    if report.rows and test_graphs:
-        _, report.test_accuracy = evaluate(engine, params, test_graphs,
-                                           test_ys, cfg.jsd_weight)
-    return params, report
+    def result(self):
+        """(params of the best epoch, report with the test accuracy)."""
+        params = self.params if self.best is None \
+            else ModelParams.from_state(self.net, self.best)
+        if self.report.rows and self.test_set[0]:
+            _, self.report.test_accuracy = evaluate(
+                self.engine, params, *self.test_set, self.cfg.jsd_weight)
+        return params, self.report
+
+
+def train(ds: GraphDataset, split: Split, net: NetworkConfig,
+          cfg: TrainConfig):
+    """Train one model on one split; returns (params, RunReport).
+
+    Keeps the parameters of the best validation epoch (total loss) and
+    restores them before the final test evaluation; stops early after
+    cfg.patience epochs without improvement.
+    """
+    run = _Run(ds, split, net, cfg)
+    while not run.done:
+        run.epoch()
+    return run.result()
 
 
 @dataclass

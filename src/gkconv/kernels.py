@@ -193,10 +193,11 @@ def safe_divide(out: np.ndarray, denom: np.ndarray) -> np.ndarray:
     """out / denom in place where denom > 0, zero where it is not.
 
     Normalized kernels use it so that an empty histogram (norm 0) scores
-    0 against everything instead of NaN.
+    0 against everything instead of NaN. out holds dot products of
+    non-negative counts and denom the products of their norms, so where
+    denom is 0 one count vector is all zero and out already holds +0.0.
     """
     np.divide(out, denom, out=out, where=denom > 0)
-    out[denom <= 0] = 0.0
     return out
 
 

@@ -12,7 +12,8 @@ concatenated for the readout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_left
+from dataclasses import dataclass, fields
 from functools import cache
 from itertools import chain
 
@@ -21,10 +22,12 @@ import scipy.sparse as sp
 
 from .graphs import (EgoBalls, LabeledGraph, LabelDictionary, _ranges,
                      ego_balls, induced_subgraph, max_component_nodes)
+from .head import MlpParams
 from .kernels import (GRAPHLET3, WL_SUBTREE, KernelConfig, WlColorTable,
                       graphlet3_union, graphlet3_vector, refine_union,
                       safe_divide)
-from .quantizer import CodebookStateError, assign, fit_update
+from .optim import Adam
+from .quantizer import Codebook, CodebookStateError, assign, fit_update
 
 
 class ModelError(ValueError):
@@ -100,6 +103,40 @@ class NetworkConfig:
     @property
     def feature_dim(self) -> int:
         return sum(l.num_masks for l in self.layers)
+
+
+@dataclass(eq=False)
+class EditProbabilities:
+    """Edit sampling distribution, parameterized by free logits.
+
+    Edge logits (one per node pair) pass through a sigmoid: the sigmoid
+    is the add weight of an absent pair and its complement the removal
+    weight of a present pair. Label logits (one row per node) pass
+    through a row softmax. Candidate weights are renormalized over the
+    edits of the current workspace, so both phases always sample a
+    proper distribution. Each phase owns its Adam state and is only
+    stepped by edits of that phase.
+    """
+
+    edge_logits: np.ndarray   # (pairs,)
+    label_logits: np.ndarray  # (d, dict_size)
+    edge_opt: Adam
+    label_opt: Adam
+
+    @classmethod
+    def zeros(cls, d: int, dict_size: int, lr: float = 0.01):
+        """Flat initialization: every edit starts equally likely."""
+        return cls(edge_logits=np.zeros(d * (d - 1) // 2),
+                   label_logits=np.zeros((d, dict_size)),
+                   edge_opt=Adam(lr), label_opt=Adam(lr))
+
+    def edge_probs(self) -> np.ndarray:
+        return 1.0 / (1.0 + np.exp(-self.edge_logits))
+
+    def label_probs(self) -> np.ndarray:
+        z = self.label_logits - self.label_logits.max(axis=1, keepdims=True)
+        e = np.exp(z)
+        return e / e.sum(axis=1, keepdims=True)
 
 
 class StructuralMask:
@@ -182,18 +219,81 @@ def _check_layer_input(layer: LayerConfig, labels: np.ndarray, masks):
             raise ModelError("mask label outside layer dictionary")
 
 
+def _put(out: dict, prefix: str, values: dict) -> None:
+    """values into out under prefix, an optimizer's state one level down."""
+    for key, val in values.items():
+        if isinstance(val, Adam):
+            _put(out, f"{prefix}{key}.", val.state())
+        else:
+            out[prefix + key] = val
+
+
 @dataclass
 class ModelParams:
     """Everything the network learns.
 
     masks[l] is layer l's mask bank; codebooks[j] belongs to junction j
-    (None for passthrough junctions); mlp is the readout classifier
-    (opaque to this module).
+    (None for passthrough junctions); mlp is the readout classifier.
     """
 
     masks: list
     codebooks: list
-    mlp: object = None
+    mlp: MlpParams = None
+
+    def state(self) -> dict:
+        """Everything learned in one flat dict under its checkpoint names
+        (masks.l.i.edges, codebooks.j.centroids, mlp.opt.t, ...): arrays,
+        live as Adam.state() gives them, and JSON values."""
+        out = {"codebooks": [None if cb is None else {
+            key: val for key, val in vars(cb).items() if key != "centroids"}
+            for cb in self.codebooks], "has_mlp": self.mlp is not None}
+        for l, bank in enumerate(self.masks):
+            for i, mask in enumerate(bank):
+                ws = mask.workspace
+                _put(out, f"masks.{l}.{i}.", {
+                    "edges": np.array(ws.edges, dtype=np.int64).reshape(-1, 2),
+                    "labels": np.array(ws.labels, dtype=np.int64),
+                    **vars(mask.edit_probs)})
+        for j, cb in enumerate(self.codebooks):
+            if cb is not None and cb.initialized:
+                out[f"codebooks.{j}.centroids"] = cb.centroids
+        if self.mlp is not None:
+            _put(out, "mlp.", vars(self.mlp))
+        return out
+
+    @classmethod
+    def from_state(cls, net: NetworkConfig, state: dict) -> "ModelParams":
+        """The params a state() dict describes, on copies of its arrays;
+        a missing or bad value raises KeyError, TypeError or ValueError."""
+        keys = sorted(state)  # a prefix's keys: adjacent, below prefix + "~"
+
+        def adam(prefix):
+            opt = Adam(float(state[prefix + "lr"]))
+            opt.load_state({key[len(prefix):]: state[key] for key in keys[
+                bisect_left(keys, prefix):bisect_left(keys, prefix + "~")]})
+            return opt
+
+        def take(kind, prefix):  # a dataclass that _put wrote
+            return kind(**{f.name: np.array(state[prefix + f.name], float)
+                           if prefix + f.name in state
+                           else adam(f"{prefix}{f.name}.")
+                           for f in fields(kind)})
+
+        masks = [[StructuralMask(
+            LabeledGraph(layer.max_mask_nodes, state[pre + "edges"],
+                         state[pre + "labels"]),
+            take(EditProbabilities, pre))
+            for pre in (f"masks.{l}.{i}." for i in range(layer.num_masks))]
+            for l, layer in enumerate(net.layers)]
+        codebooks = [None if cm is None else Codebook(
+            k=int(cm["k"]), initialized=bool(cm["initialized"]),
+            degenerate=bool(cm["degenerate"]),
+            last_displacement=float(cm["last_displacement"]),
+            centroids=np.array(state[f"codebooks.{j}.centroids"], float)
+            if cm["initialized"] else None)
+            for j, cm in enumerate(state["codebooks"])]
+        mlp = take(MlpParams, "mlp.") if state.get("has_mlp") else None
+        return cls(masks=masks, codebooks=codebooks, mlp=mlp)
 
 
 @dataclass

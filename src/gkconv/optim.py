@@ -42,8 +42,8 @@ class Adam:
             p -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
 
     def state(self) -> dict:
-        """Flat snapshot of the moment buffers for checkpointing."""
-        out = {"t": self.t}
+        """Step count, rate and live moment buffers in one flat dict."""
+        out = {"t": self.t, "lr": self.lr}
         for name in sorted(self.m):
             out[f"m.{name}"] = self.m[name]
             out[f"v.{name}"] = self.v[name]
@@ -51,10 +51,6 @@ class Adam:
 
     def load_state(self, state: dict) -> None:
         self.t = int(state["t"])
-        self.m = {}
-        self.v = {}
-        for key, arr in state.items():
-            if key.startswith("m."):
-                self.m[key[2:]] = np.array(arr, dtype=np.float64)
-            elif key.startswith("v."):
-                self.v[key[2:]] = np.array(arr, dtype=np.float64)
+        self.m, self.v = ({key[2:]: np.array(arr, dtype=np.float64)
+                           for key, arr in state.items()
+                           if key.startswith(part)} for part in ("m.", "v."))

@@ -1,12 +1,15 @@
 """Binary checkpoint format: roundtrips, sidecar, corruption handling."""
 
 import json
+import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import gkconv.experiment as ex
+import gkconv.checkpoint
 from gkconv.checkpoint import (MAGIC, VERSION, CheckpointError,
                                load_checkpoint, save_checkpoint)
 from gkconv.data import generate_triangle_cycle_dataset, split_holdout
@@ -24,6 +27,26 @@ def trained_two_layer():
     split = split_holdout(ds, stream(cfg.seed, "splits"))
     params, _ = ex.train(ds, split, net, cfg)
     return ds, net, params
+
+
+def assert_resave_is_identical(path, counters=None):
+    """save(load(save(p))) writes the bytes save(p) wrote."""
+    net, params, _ = load_checkpoint(path)
+    again = save_checkpoint(path.with_name("again.gkc"), net, params,
+                            counters)
+    assert again.read_bytes() == path.read_bytes()
+    assert Path(f"{again}.config.txt").read_bytes() == \
+        Path(f"{path}.config.txt").read_bytes()
+
+
+def rewrite_manifest(path, edit):
+    """Replace the manifest of the checkpoint at path by edit(manifest)."""
+    blob = path.read_bytes()
+    mlen = struct.unpack("<Q", blob[8:16])[0]
+    manifest = edit(json.loads(blob[16:16 + mlen].decode()))
+    enc = json.dumps(manifest, sort_keys=True).encode()
+    path.write_bytes(blob[:8] + struct.pack("<Q", len(enc)) + enc
+                     + blob[16 + mlen:])
 
 
 def assert_adam_equal(a, b):
@@ -78,6 +101,7 @@ def test_roundtrip_is_bitwise(tmp_path):
     got = ForwardEngine(net2).forward_graphs(params2, ds.graphs[:4]).features
     for a, b in zip(want, got):
         assert np.array_equal(a, b)
+    assert_resave_is_identical(path, counters)
 
 
 def test_sidecar_is_written(tmp_path):
@@ -112,6 +136,28 @@ def test_unfitted_codebook_and_passthrough_junction_survive(tmp_path):
     _, loaded2, _ = load_checkpoint(path2)
     assert not loaded2.codebooks[0].initialized
     assert loaded2.codebooks[0].k == fresh.codebooks[0].k
+    assert_resave_is_identical(path)
+    assert_resave_is_identical(path2)
+
+
+def test_failed_save_keeps_the_previous_checkpoint(tmp_path, monkeypatch):
+    _, net, params = trained_two_layer()
+    path = save_checkpoint(tmp_path / "model.gkc", net, params, {"epoch": 2})
+    files = {p: p.read_bytes() for p in tmp_path.iterdir()}
+    other = ex.init_params(net, 2, ex.TrainConfig(seed=4))
+
+    def fail(fd):
+        raise OSError("device lost")
+
+    # the new bytes are written but never reach the disk
+    monkeypatch.setattr(gkconv.checkpoint.os, "fsync", fail)
+    with pytest.raises(OSError, match="device lost"):
+        save_checkpoint(path, net, other, {"epoch": 3})
+    monkeypatch.undo()
+    assert {p: p.read_bytes() for p in tmp_path.iterdir()} == files
+    _, loaded, counters = load_checkpoint(path)
+    assert counters == {"epoch": 2}
+    assert_resave_is_identical(path, counters)
 
 
 @pytest.mark.parametrize("cut", ["header", "manifest", "payload"])
@@ -149,17 +195,29 @@ def test_bad_magic_version_and_manifest(tmp_path):
         load_checkpoint(tmp_path / "missing.gkc")
 
 
+MALFORMED_MANIFESTS = {
+    "counters-list": lambda m: {**m, "meta": {**m["meta"],
+                                              "counters": [1, 2]}},
+    "counters-number": lambda m: {**m, "meta": {**m["meta"], "counters": 5}},
+    "arrays-of-strings": lambda m: {**m, "arrays": ["x"]},
+    "arrays-number": lambda m: {**m, "arrays": 7},
+    "manifest-list": lambda m: [m],
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_MANIFESTS))
+def test_malformed_manifest_is_a_checkpoint_error(tmp_path, case):
+    _, net, params = trained_two_layer()
+    path = save_checkpoint(tmp_path / "model.gkc", net, params)
+    rewrite_manifest(path, MALFORMED_MANIFESTS[case])
+    with pytest.raises(CheckpointError, match=re.escape(str(path))):
+        load_checkpoint(path)
+
+
 def test_manifest_with_missing_arrays_is_rejected(tmp_path):
     _, net, params = trained_two_layer()
-    path = tmp_path / "model.gkc"
-    save_checkpoint(path, net, params)
-    blob = path.read_bytes()
-    mlen = struct.unpack("<Q", blob[8:16])[0]
-    manifest = json.loads(blob[16:16 + mlen].decode())
-    manifest["arrays"] = [e for e in manifest["arrays"]
-                          if e["name"] != "mlp.W1"]
-    enc = json.dumps(manifest, sort_keys=True).encode()
-    path.write_bytes(blob[:8] + struct.pack("<Q", len(enc)) + enc
-                     + blob[16 + mlen:])
+    path = save_checkpoint(tmp_path / "model.gkc", net, params)
+    rewrite_manifest(path, lambda m: {**m, "arrays": [
+        e for e in m["arrays"] if e["name"] != "mlp.W1"]})
     with pytest.raises(CheckpointError, match="missing or corrupt"):
         load_checkpoint(path)

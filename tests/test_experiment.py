@@ -1,12 +1,15 @@
 """Training runs, sweeps, and the analysis helpers around them."""
 
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import gkconv.experiment as ex
 from gkconv import head, model
+from gkconv.checkpoint import save_checkpoint
 from gkconv.data import generate_triangle_cycle_dataset, split_holdout, take
 from gkconv.model import ForwardEngine
 from gkconv.quantizer import default_k
@@ -99,6 +102,87 @@ def test_train_is_bitwise_deterministic(tmp_path):
     head = (tmp_path / "t.csv").read_text().splitlines()[0]
     assert "sec_per_epoch" in head
     assert "sec_per_epoch" not in (tmp_path / "a.csv").read_text()
+
+
+def two_layer_setup(epochs):
+    """2-layer toy net with a k-means junction; over 6 epochs its best
+    validation epoch is 3, and after 3 epochs the best is 1."""
+    ds = generate_triangle_cycle_dataset(8, np.random.default_rng(0))
+    net = ex.build_network(1, num_masks=2, mask_nodes=3, radius=1,
+                           wl_iterations=1, num_layers=2, quantizer_k=2)
+    cfg = ex.TrainConfig(epochs=epochs, batch_size=4, seed=1)
+    return ds, net, cfg, split_holdout(ds, stream(cfg.seed, "splits"))
+
+
+def checkpoint_bytes(path, net, params):
+    path = save_checkpoint(path, net, params)
+    return path.read_bytes(), Path(f"{path}.config.txt").read_bytes()
+
+
+def comparable(state):
+    """A run state without its report's wall-clock column; JSON values
+    by repr, so that a NaN equals itself."""
+    report = dict(state["report"])
+    report["rows"] = [{k: v for k, v in row.items() if k != "sec_per_epoch"}
+                      for row in report["rows"]]
+    return {key: val if isinstance(val, np.ndarray) else repr(val)
+            for key, val in {**state, "report": report}.items()}
+
+
+def assert_states_equal(a, b):
+    a, b = comparable(a), comparable(b)
+    assert sorted(a) == sorted(b)
+    for key, val in a.items():
+        if isinstance(val, np.ndarray):
+            assert val.dtype == b[key].dtype, key
+            assert np.array_equal(val, b[key]), key
+        else:
+            assert val == b[key], key
+
+
+def test_split_run_equals_whole_run(tmp_path):
+    # half a run, taken apart by state() and loaded into a fresh run with
+    # a fresh engine, ends bit for bit where the uninterrupted run ends
+    ds, net, cfg, split = two_layer_setup(epochs=6)
+    whole = ex._Run(ds, split, net, cfg)
+    while not whole.done:
+        whole.epoch()
+    first = ex._Run(ds, split, net, cfg)
+    for _ in range(3):
+        first.epoch()
+    state = first.state()
+    assert "best.has_mlp" in state and state["bad_epochs"] > 0
+    second = ex._Run(ds, split, net, cfg)
+    second.load_state(state)
+    while not second.done:
+        second.epoch()
+    assert len(second.report.rows) == cfg.epochs
+    assert_states_equal(whole.state(), second.state())
+
+    results = [whole.result(), second.result(), ex.train(ds, split, net, cfg)]
+    csvs = {r.to_csv(tmp_path / f"{i}.csv", timing=False).read_bytes()
+            for i, (_, r) in enumerate(results)}
+    assert len(csvs) == 1
+    workspaces = [[(m.workspace.edges, m.workspace.labels)
+                   for bank in p.masks for m in bank] for p, _ in results]
+    assert workspaces[0] == workspaces[1] == workspaces[2]
+    saved = {checkpoint_bytes(tmp_path / f"{i}.gkc", net, p)
+             for i, (p, _) in enumerate(results)}
+    assert len(saved) == 1
+
+
+def test_best_epoch_params_are_a_snapshot(tmp_path):
+    # Adam keeps stepping the live arrays in place after the best epoch,
+    # so a snapshot sharing them would return later values
+    ds, net, cfg, split = two_layer_setup(epochs=6)
+    params, report = ex.train(ds, split, net, cfg)
+    best = report.best_epoch
+    assert best < cfg.epochs - 1
+    short, short_report = ex.train(ds, split, net,
+                                   replace(cfg, epochs=best + 1))
+    assert short_report.best_epoch == best
+    assert checkpoint_bytes(tmp_path / "a.gkc", net, params) == \
+        checkpoint_bytes(tmp_path / "b.gkc", net, short)
 
 
 def test_run_report_csv_roundtrips_floats(tmp_path):

@@ -188,6 +188,10 @@ def test_gram_matrix_builds_each_row_once(kind, monkeypatch):
         want = kernel_matrix(kc, graphs, list(graphs))
         assert gram.shape == (len(graphs), len(graphs))
         assert np.array_equal(gram, want)
+        # the empty graph (index 12) has norm 0: normalizing leaves its
+        # row and column the +0.0 dot products, not NaN and not -0.0
+        empty = np.concatenate([gram[12], gram[:, 12]])
+        assert (empty == 0.0).all() and not np.signbit(empty).any()
         assert kernel_matrix(kc, [], []).shape == (0, 0)
 
 
