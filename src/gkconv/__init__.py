@@ -16,7 +16,7 @@ from .model import (ForwardEngine, LayerConfig, ModelParams, NetworkConfig,
 from .drd import (EditProbabilities, apply_edit, drd_step_batched,
                   init_mask_bank)
 from .head import (LossReport, MlpParams, Readout, batch_loss, gradients,
-                   init_mlp, jsd_grad, jsd_loss, readout)
+                   init_mlp, readout)
 from .data import (GraphDataset, MotifSpec, Split, fetch_benchmark,
                    generate_motif_dataset, generate_triangle_cycle_dataset,
                    load_benchmark, make_motif, save_benchmark,

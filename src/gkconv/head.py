@@ -1,11 +1,18 @@
 """Readout: sum pooling, a two-layer MLP, and the training losses.
 
 The loss is cross entropy plus a weighted redundancy penalty on the
-per-mask response distributions over a graph's nodes (``jsd_loss`` has
-the exact formula): identical response columns are maximally redundant
-and penalized hardest, so masks are pushed to specialize. ``readout``
-runs the head once per batch and serves the loss, the accuracy and the
-gradients, which are computed by hand; everything is plain numpy.
+per-mask response distributions over a graph's nodes: identical
+response columns are maximally redundant and penalized hardest, so masks
+are pushed to specialize. With P_i the distribution of column i of a
+graph's (n, m) response matrix over the nodes and q the mean of the P_i,
+the penalty is -H(q) + sum_i H(P_i). This is not the negated
+uniform-weight generalized Jensen-Shannon divergence -H(q) + (1/m)
+sum_i H(P_i): the column entropies are summed, not averaged, which adds
+(1 - 1/m) sum_i H(P_i) and so also rewards peaked columns. It is minimal
+when the columns are as distinct and as peaked as possible, and zero
+for a single column. ``readout`` runs the head once per batch and serves
+the loss, the accuracy and the gradients, which are computed by hand;
+everything is plain numpy.
 Elementwise steps run once over the batch's node rows; only sums over
 a graph's nodes run per node-count group, since numpy's summation order
 depends on the summed length. Every value is bitwise a per-graph loop's.
@@ -133,25 +140,6 @@ def _matrix(features) -> np.ndarray:
     if X.ndim != 2 or X.shape[0] < 1 or X.shape[1] < 1:
         raise HeadError("need a non-empty (nodes, masks) feature matrix")
     return X
-
-
-def jsd_loss(features: np.ndarray) -> float:
-    """Redundancy penalty of one graph's (n, m) response matrix X.
-
-    With P_i the distribution of column i over the nodes and q the mean
-    of the P_i, the penalty is -H(q) + sum_i H(P_i). This is not the
-    negated uniform-weight generalized Jensen-Shannon divergence
-    -H(q) + (1/m) sum_i H(P_i): the column entropies are summed, not
-    averaged, which adds (1 - 1/m) sum_i H(P_i) and so also rewards
-    peaked columns. It is minimal when the columns are as distinct and
-    as peaked as possible, and zero for a single column.
-    """
-    return float(_Flat([_matrix(features)]).jsd[0])
-
-
-def jsd_grad(features: np.ndarray) -> np.ndarray:
-    """d jsd_loss / d features; all-zero columns get zero gradient."""
-    return _Flat([_matrix(features)]).penalty_grad()
 
 
 @dataclass(frozen=True)

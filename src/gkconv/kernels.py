@@ -260,13 +260,15 @@ def _key_span(n_ranks: int, base: int, digits: int) -> int:
     return k
 
 
-def _packed(rank: np.ndarray, digits, base: int) -> np.ndarray:
-    """rank * base**k + the k digits (rows of `digits`, most significant
-    first), one int64 key per column."""
+def _packed(rank: np.ndarray, digits, base: int, k: int) -> np.ndarray:
+    """rank * base**k + k digits, one int64 key per column: the rows of
+    `digits`, most significant first, then zeros up to k."""
     key = np.array(rank, dtype=np.int64)
     for d in digits:
         key *= base
         key += d
+    if len(digits) < k:
+        key *= base ** (k - len(digits))
     return key
 
 
@@ -284,25 +286,27 @@ class _Adjacency:
             + self.row
         self.width = int(self.deg.max()) if self.n else 0
 
-    def digits(self, colors: np.ndarray, n_colors: int,
-               width: int) -> np.ndarray:
+    def digits(self, colors: np.ndarray, n_colors: int) -> np.ndarray:
         """(width, n) digits: row i holds every node's i-th smallest
         neighbor color plus one, and 0 past the node's degree. Every
-        color is in [0, n_colors) and width is at least self.width."""
+        color is in [0, n_colors)."""
         _key_span(self.n, n_colors, 1)  # row * n_colors + color fits
         shift = self.row * n_colors
         key = np.sort(shift + colors[self.indices])
-        out = np.zeros((width, self.n), dtype=np.int64)
+        out = np.zeros((self.width, self.n), dtype=np.int64)
         out.reshape(-1)[self.cell] = key - shift + 1
         return out
 
 
-def _adjacency_of(g: LabeledGraph) -> _Adjacency:
-    deg = np.fromiter(map(len, g.adj), dtype=np.int64, count=g.num_nodes)
+def _adjacency_of(graphs) -> _Adjacency:
+    """The adjacency of the graphs' disjoint union, graph after graph."""
+    adj = list(chain.from_iterable(g.adj for g in graphs))
+    deg = np.fromiter(map(len, adj), dtype=np.int64, count=len(adj))
     indptr = np.concatenate(([0], np.cumsum(deg)))
-    return _Adjacency(indptr, np.fromiter(
-        (u for ns in g.adj for u in ns), dtype=np.int64,
-        count=int(indptr[-1])))
+    node_off = np.cumsum([0] + [g.num_nodes for g in graphs])[:-1]
+    return _Adjacency(indptr, np.repeat(
+        node_off, [2 * g.num_edges for g in graphs]) + np.fromiter(
+        chain.from_iterable(adj), dtype=np.int64, count=int(indptr[-1])))
 
 
 def csc_dot(col_ptr, row, val, cols, weights, n_rows: int) -> np.ndarray:
@@ -323,7 +327,7 @@ def _lookup(keys: np.ndarray, key: np.ndarray):
     """Positions of key in the sorted array keys, and which were found."""
     if not len(keys):  # a union of empty graphs
         return np.zeros(len(key), dtype=np.int64), np.zeros(len(key), bool)
-    pos = np.minimum(np.searchsorted(keys, key), len(keys) - 1)
+    pos = np.minimum(keys.searchsorted(key), len(keys) - 1)
     return pos, keys[pos] == key
 
 
@@ -334,10 +338,10 @@ class WlUnion:
     and the classes of all rounds are laid end to end as columns, round t
     taking columns offsets[t] to offsets[t + 1]. ``labels`` is the sorted
     set of round-0 labels, ``rounds[t]`` every node's class after round
-    t, ``steps[t]`` the sorted key set of each compression step of round
-    t + 1 and ``width`` the union's largest degree. ``col_ptr``/``part``/
-    ``count`` hold the (column, part) counts in CSC form and ``norms`` the
-    parts' histogram norms.
+    t, ``steps[t]`` the (neighbor digits taken, sorted key set) of each
+    compression step of round t + 1 and ``width`` the union's largest
+    degree. ``col_ptr``/``part``/``count`` hold the (column, part) counts
+    in CSC form and ``norms`` the parts' histogram norms.
     """
 
     def __init__(self, labels, rounds, steps, offsets, width, col_ptr, part,
@@ -352,38 +356,56 @@ class WlUnion:
         self.count = count
         self.norms = norms
 
-    def columns(self, g: LabeledGraph):
-        """g's color histogram on the union's columns: (column ids,
-        counts). g is refined against the union's compression tables; a
-        color the union never produced matches no column and is left out,
-        along with every color refined from it."""
-        adj = _adjacency_of(g)
-        cls, found = _lookup(self.labels, np.asarray(g.labels, np.int64))
+    def columns(self, graphs) -> list:
+        """Each graph's color histogram on the union's columns: (column
+        ids, counts) per graph. The graphs are refined as one disjoint
+        union against the union's compression tables; a node's class
+        depends on its own neighborhood only, so each graph gets the
+        histogram it would get alone. A color the union never produced
+        matches no column and is left out, along with every color
+        refined from it."""
+        graphs = list(graphs)
+        adj = _adjacency_of(graphs)
+        cls, found = _lookup(self.labels, np.fromiter(
+            chain.from_iterable(g.labels for g in graphs), dtype=np.int64,
+            count=adj.n))
         cls[~found] = -1
         rounds = [cls]
-        width = max(self.width, adj.width)
+        wide = adj.deg > self.width
         for t, steps in enumerate(self.steps):
             size = int(self.offsets[t + 1] - self.offsets[t])
-            lost = (cls < 0) | (adj.deg > self.width)
+            lost = (cls < 0) | wide
             lost[adj.row[cls[adj.indices] < 0]] = True
-            digits = adj.digits(np.maximum(cls, 0), size, width)
-            rank, n_ranks, i = np.maximum(cls, 0), size, 0
-            for keys in steps:
-                k = _key_span(n_ranks, size + 1, self.width - i)
+            rank = np.maximum(cls, 0)
+            # the digits past the graphs' own largest degree are zeros
+            digits, i = adj.digits(rank, size), 0
+            for k, keys in steps:
                 rank, found = _lookup(
-                    keys, _packed(rank, digits[i:i + k], size + 1))
+                    keys, _packed(rank, digits[i:i + k], size + 1, k))
                 lost |= ~found
-                n_ranks, i = len(keys), i + k
+                i += k
             cls = np.where(lost, -1, rank)
             rounds.append(cls)
-        cols = np.concatenate([c[c >= 0] + o
-                               for c, o in zip(rounds, self.offsets)])
-        return np.unique(cols, return_counts=True)
+        # (graph, column) keys, graph-major, so each graph's run is sorted
+        n_cols = max(int(self.offsets[-1]), 1)
+        _key_span(len(graphs), n_cols, 1)
+        graph_key = np.repeat(np.arange(len(graphs)) * n_cols,
+                              [g.num_nodes for g in graphs])
+        keys, counts = np.unique(np.concatenate(
+            [(c + o + graph_key)[c >= 0]
+             for c, o in zip(rounds, self.offsets)]), return_counts=True)
+        ends = keys.searchsorted(
+            np.arange(len(graphs) + 1) * n_cols).tolist()
+        cols = keys % n_cols
+        return [(cols[a:b], counts[a:b]) for a, b in zip(ends, ends[1:])]
 
-    def dot(self, g: LabeledGraph) -> np.ndarray:
-        """Unnormalized kernel of every part against g."""
-        return csc_dot(self.col_ptr, self.part, self.count, *self.columns(g),
-                       len(self.norms))
+    def dot(self, graphs) -> np.ndarray:
+        """Unnormalized kernel of every part against each graph, (parts,
+        graphs)."""
+        return np.column_stack(
+            [csc_dot(self.col_ptr, self.part, self.count, cols, counts,
+                     len(self.norms))
+             for cols, counts in self.columns(graphs)])
 
 
 def refine_union(indptr, indices, labels, sizes, iterations: int) -> WlUnion:
@@ -412,13 +434,14 @@ def refine_union(indptr, indices, labels, sizes, iterations: int) -> WlUnion:
     all_steps = []
     for _ in range(iterations):
         size = n_classes[-1]
-        digits = adj.digits(cls, size, width)
+        digits = adj.digits(cls, size)
         rank, n_ranks, steps, i = cls, size, [], 0
         while i < width:
             k = _key_span(n_ranks, size + 1, width - i)
             keys, rank = np.unique(
-                _packed(rank, digits[i:i + k], size + 1), return_inverse=True)
-            steps.append(keys)
+                _packed(rank, digits[i:i + k], size + 1, k),
+                return_inverse=True)
+            steps.append((k, keys))
             n_ranks, i = len(keys), i + k
         cls = rank
         all_steps.append(steps)

@@ -425,12 +425,14 @@ class ForwardEngine:
 
     One memo serves every layer (``_responses``): each graph's input
     labels and (n, m) response block, kept until the layer's mask bank
-    changes, so a batch scored under fixed parameters concatenates kept
-    blocks and builds nothing. A kept block is bitwise what a fresh pass
-    gives, since a ball's histogram, and the lookup of a mask's colors, do
-    not depend on the other balls of the batch; and kernel values are
-    bit-for-bit those of the plain per-graph path: all histogram dot
-    products are sums of small integers, exact in float64 in any order.
+    changes, and below a quantizing junction the labels it gave the
+    block (``_junction``), so a batch scored under fixed parameters
+    concatenates kept blocks and labels and builds nothing. A kept block
+    is bitwise what a fresh pass gives, since a ball's histogram, and
+    the lookup of a mask's colors, do not depend on the other balls of
+    the batch; and kernel values are bit-for-bit those of the plain
+    per-graph path: all histogram dot products are sums of small
+    integers, exact in float64 in any order.
     """
 
     def __init__(self, net: NetworkConfig):
@@ -445,19 +447,21 @@ class ForwardEngine:
         self._g3_rows = {}   # (base graph, radius) -> (n, 2) graphlet counts
         self._stats = {}     # layer -> {mask graph: (vector, norm)}, for the
         #                      bank and the candidates its batch scored
-        self._memo = {}      # layer -> (mask bank,
-        #                      {graph: (input labels, (n, m) responses)})
+        self._memo = {}      # layer -> (mask bank, {graph: (input labels,
+        #                      (n, m) responses, junction labels or None)})
 
     def _responses(self, l: int, graphs, slices, labels, mask_graphs,
                    bank):
         """Layer l's (n, m) responses to the batch, its graphs at row
-        slices of the flat input labels, from the responses closure bank.
+        slices of the flat input labels, from the responses closure bank;
+        and the batch's memo entries when every graph was a hit, else None.
 
         When every graph of the batch is kept in the memo under these
         labels and this mask bank, the kept blocks are concatenated into
         a new array. Otherwise bank gives every mask's responses, kept
         until the bank changes as per-graph views into one copy of the
-        batch's labels and responses (zero_cols writes into z)."""
+        batch's labels and responses (zero_cols writes into z), with no
+        junction labels yet."""
         masks = tuple(mask_graphs)
         # LabeledGraph has no __eq__, so the banks compare by identity
         if self._memo.get(l, (None,))[0] != masks:
@@ -466,12 +470,39 @@ class ForwardEngine:
         kept = [memo.get(g) for g in graphs]
         if None not in kept and np.array_equal(
                 np.concatenate([k[0] for k in kept]), labels):
-            return np.concatenate([k[1] for k in kept])
+            return np.concatenate([k[1] for k in kept]), kept
         z = bank(mask_graphs)
         kept_labels, kept_z = labels.copy(), z.copy()
         for g, (a, b) in zip(graphs, slices):
-            memo[g] = (kept_labels[a:b], kept_z[a:b])
-        return z
+            memo[g] = (kept_labels[a:b], kept_z[a:b], None)
+        return z, None
+
+    def _junction(self, l: int, cb: Codebook, z, graphs, slices, hits,
+                  blanked) -> np.ndarray:
+        """Junction l's labels of the batch: the nearest centroid of cb to
+        every row of layer l's responses z.
+
+        Layer l's memo entry of a graph keeps its labels with a copy of
+        the centroids they were assigned under, so they go with its
+        block. They serve when every graph was a hit (hits, the entries
+        ``_responses`` gave), no column of z was blanked and every copy
+        equals cb's centroids by value, as fit_update moves them in
+        place. Otherwise assign runs, and its labels are kept unless a
+        column was blanked."""
+        if hits is not None and not blanked:
+            kept = [h[2] for h in hits]
+            if None not in kept:
+                # the graphs of one batch share one copy
+                stamps = {id(stamp): stamp for stamp, _ in kept}
+                if all(np.array_equal(stamp, cb.centroids)
+                       for stamp in stamps.values()):
+                    return np.concatenate([out for _, out in kept])
+        out = assign(cb, z)
+        if not blanked:
+            memo, stamp = self._memo[l][1], cb.centroids.copy()
+            for g, (a, b) in zip(graphs, slices):
+                memo[g] = memo[g][:2] + ((stamp, out[a:b]),)
+        return out
 
     def _ego_balls(self, graphs, radius: int):
         """The balls of every node of graphs as one union, in
@@ -563,8 +594,7 @@ class ForwardEngine:
                 indptr, nbrs, origin, sizes = self._ego_balls(graphs, radius)
                 union = refine_union(indptr, nbrs, labels[origin], sizes,
                                      kernel.wl_iterations)
-                return (lambda gs: np.column_stack([union.dot(g) for g in gs]),
-                        union.norms)
+                return union.dot, union.norms
 
             def stat(g):
                 if not kernel.normalized:
@@ -611,11 +641,11 @@ class ForwardEngine:
             _check_layer_input(layer, labels_flat, params.masks[l])
             mask_graphs = [mk.graph for mk in params.masks[l]]
             bank = self._column(l, layer, graphs, labels_flat, mask_graphs)
-            z_flat = self._responses(l, graphs, slices, labels_flat,
-                                     mask_graphs, bank)
-            for (zl, zi) in zero_cols:
-                if zl == l:
-                    z_flat[:, zi] = 0.0
+            z_flat, hits = self._responses(l, graphs, slices, labels_flat,
+                                           mask_graphs, bank)
+            blanked = [zi for zl, zi in zero_cols if zl == l]
+            if blanked:
+                z_flat[:, blanked] = 0.0
             layer_traces.append(LayerBatch(before=z_flat, bank=bank))
             if l < net.num_layers - 1:
                 if net.quantizer_k[l] is None:
@@ -626,7 +656,8 @@ class ForwardEngine:
                 elif cb is None or not cb.initialized:
                     raise CodebookStateError(
                         f"junction {l} codebook has not been fitted")
-                labels_flat = assign(cb, z_flat)
+                labels_flat = self._junction(l, cb, z_flat, graphs, slices,
+                                             hits, blanked)
         # per-graph features are row views of one matrix; nothing
         # downstream writes into them
         z_all = np.hstack([lt.before for lt in layer_traces]) \

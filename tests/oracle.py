@@ -5,13 +5,14 @@ and the graph builders only tests use.
 time from plain ego subgraphs and ``kernel_matrix``, sharing no cache
 with ``ForwardEngine``. The head functions score one graph's pooled
 features; ``head.readout`` must give their bits for every graph of a
-batch.
+batch. ``jsd_loss`` and ``jsd_grad`` run the head's batch statistics
+on one graph.
 """
 
 import numpy as np
 
 from gkconv import graphs
-from gkconv.head import HeadError, MlpParams
+from gkconv.head import HeadError, MlpParams, _Flat, _matrix
 from gkconv.kernels import kernel_matrix
 from gkconv.model import LayerConfig, ModelError, ModelParams, NetworkConfig
 from gkconv.quantizer import CodebookStateError, assign
@@ -103,3 +104,14 @@ def cross_entropy(logits: np.ndarray, y: int) -> float:
         raise HeadError(f"class {y} out of range")
     z = logits - logits.max()
     return float(np.log(np.exp(z).sum()) - z[y])
+
+
+def jsd_loss(features: np.ndarray) -> float:
+    """The head's redundancy penalty of one graph's (n, m) response
+    matrix, -H(q) + sum_i H(P_i) (``gkconv.head``)."""
+    return float(_Flat([_matrix(features)]).jsd[0])
+
+
+def jsd_grad(features: np.ndarray) -> np.ndarray:
+    """d jsd_loss / d features; all-zero columns get zero gradient."""
+    return _Flat([_matrix(features)]).penalty_grad()

@@ -26,7 +26,7 @@ from gkconv.data import (DatasetNotFoundError, MotifSpec,
                          make_motif, split_holdout)
 from gkconv.drd import EditProbabilities
 from gkconv.graphs import complete_graph, cycle_graph, disjoint_union
-from gkconv.head import batch_loss, init_mlp, jsd_loss
+from gkconv.head import batch_loss, init_mlp
 from gkconv.kernels import (GRAPHLET3, WL_SUBTREE, KernelConfig,
                             graphlet3_vector, kernel_matrix,
                             wl_indistinguishable)
@@ -35,7 +35,7 @@ from gkconv.quantizer import Codebook, fit_update
 from gkconv.rng import stream
 
 from conftest import graph_gradients, kernel_value, random_graph, to_nx
-from oracle import permuted
+from oracle import jsd_loss, permuted
 from test_kernels import wl_oracle
 from test_optim_head import numeric_grad, rel_err
 

@@ -16,11 +16,12 @@ from gkconv.data import (MotifSpec, generate_motif_dataset,
                          generate_triangle_cycle_dataset, split_holdout, take)
 from gkconv.experiment import TrainConfig, build_network, init_params
 from gkconv.head import (HeadError, LossReport, batch_loss, gradients,
-                         init_mlp, jsd_grad, jsd_loss, readout)
+                         init_mlp, readout)
 from gkconv.model import ForwardEngine
 from gkconv.rng import stream
 from conftest import graph_gradients
-from oracle import cross_entropy, mlp_forward, pool_sum, predict, softmax
+from oracle import (cross_entropy, jsd_grad, jsd_loss, mlp_forward,
+                    pool_sum, predict, softmax)
 
 _EPS = 1e-12
 

@@ -289,8 +289,32 @@ def test_refine_union_matches_kernel_matrix(iterations):
                        normalized=False)
     gram = kernel_matrix(raw, parts, parts + probes)
     assert np.array_equal(union.norms, np.sqrt(np.diag(gram)))
-    for j, g in enumerate(parts + probes):
-        assert np.array_equal(union.dot(g), gram[:, j])
+    assert np.array_equal(union.dot(parts + probes), gram)
+
+
+def test_union_columns_of_a_list_equal_per_graph_calls():
+    # a list of graphs is refined as one disjoint union against the
+    # union's tables; no graph's histogram may depend on the others
+    rng = np.random.default_rng(54)
+    parts = [random_graph(rng, n_max=7, dict_size=3) for _ in range(8)]
+    union = refine_union(*_union_of(parts), 2)
+    wide = star_graph(union.width + 1, [1] * (union.width + 2))
+    probes = [random_graph(rng, n_max=6, dict_size=3) for _ in range(6)]
+    probes += [path_graph(3, [0, 7, 1]),  # a label the union never saw
+               wide,  # a node of degree above the union's width
+               LabeledGraph(1, [], [2]), LabeledGraph(0, [], [])]
+    raw = KernelConfig(kind=WL_SUBTREE, wl_iterations=2, normalized=False)
+    for gs in (probes, probes[::-1], [probes[0], probes[0]], [wide],
+               probes[-1:], probes[-2:-1]):
+        cols, dot = union.columns(gs), union.dot(gs)
+        assert len(cols) == len(gs) and dot.shape == (len(parts), len(gs))
+        for j, g in enumerate(gs):
+            (c, n), = union.columns([g])
+            assert c.dtype == cols[j][0].dtype and n.dtype == cols[j][1].dtype
+            assert np.array_equal(c, cols[j][0])
+            assert np.array_equal(n, cols[j][1])
+            assert union.dot([g])[:, 0].tobytes() == dot[:, j].tobytes()
+        assert np.array_equal(dot, kernel_matrix(raw, parts, gs))
 
 
 def test_packed_key_guard():

@@ -28,7 +28,7 @@ from gkconv.model import (CodebookStateError, ForwardEngine, LayerConfig,
                           ModelError, ModelParams, NetworkConfig,
                           StructuralMask, random_connected_graph)
 from gkconv.graphs import ego_subgraph
-from gkconv.quantizer import Codebook, assign
+from gkconv.quantizer import Codebook, assign, fit_update
 from gkconv.rng import stream
 from conftest import random_graph, to_nx
 from oracle import gkc_forward, network_forward, path_graph
@@ -888,6 +888,58 @@ def test_deep_layer_warm_batch_refines_nothing(monkeypatch, kernel, k):
         trace.layers[1].responses(params.masks[1][0].graph)
 
 
+@pytest.mark.parametrize("kernel,k", MEMO_CASES[:2], ids=MEMO_IDS[:2])
+def test_warm_batch_keeps_its_junction_labels(monkeypatch, kernel, k):
+    # the junction labels are kept with the layer-0 blocks, so a warm
+    # batch under the same centroids assigns nothing; a refit in place, a
+    # new layer-0 mask and a blanked layer-0 column each assign again
+    rng, net, params, graphs, engine = memo_setup(kernel, k, 35)
+    batch = graphs[3:] + graphs[:2] + graphs[4:5]
+    real, calls = model.assign, []
+
+    def forbidden(cb, X):
+        raise AssertionError("warm batch assigned junction labels")
+
+    def counted(cb, X):
+        calls.append(len(X))
+        return real(cb, X)
+
+    def assert_warm():
+        monkeypatch.setattr(model, "assign", forbidden)
+        assert_forward_exact(engine, net, params, batch)
+        monkeypatch.setattr(model, "assign", counted)
+
+    def assert_assigns(zero_cols=frozenset()):
+        # bitwise a fresh engine's features, after one assign call
+        calls.clear()
+        got = engine.forward_graphs(params, batch,
+                                    zero_cols=zero_cols).features
+        assert calls == [sum(g.num_nodes for g in batch)]
+        want = ForwardEngine(net).forward_graphs(
+            params, batch, zero_cols=zero_cols).features
+        for a, b in zip(got, want):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    assert_warm()
+    # refit in place: the same array moves, and neither bank changes
+    cb, banks = params.codebooks[0], [list(bank) for bank in params.masks]
+    centroids, before = cb.centroids, cb.centroids.copy()
+    fit_update(cb, rng.random((30, net.layers[0].num_masks)))
+    assert cb.centroids is centroids
+    assert not np.array_equal(cb.centroids, before)
+    assert banks == params.masks
+    assert_assigns()
+    assert_warm()
+    # a layer-0 mask replaced: its bank's blocks, and their labels, go
+    params.masks[0][0] = StructuralMask(random_connected_graph(4, 2, rng),
+                                        params.masks[0][0].edit_probs)
+    assert_assigns()
+    assert_warm()
+    # a blanked layer-0 column: its labels are not kept, the old ones are
+    assert_assigns(zero_cols={(0, 1)})
+    assert_warm()
+
+
 @pytest.mark.parametrize("kernel,k", MEMO_CASES, ids=MEMO_IDS)
 def test_deep_layer_memo_follows_labels_and_masks(monkeypatch, kernel, k):
     rng, net, params, graphs, engine = memo_setup(kernel, k, 31)
@@ -1062,9 +1114,10 @@ def test_train_keeps_blocks_of_the_current_bank_only(monkeypatch):
             mk.graph for mk in masks)
         assert {id(g) for g in memo} <= corpus
         assert len(memo) <= len(corpus)
-        for g, (labels, block) in memo.items():
+        for g, (labels, block, junction) in memo.items():
             assert len(labels) == g.num_nodes
             assert block.shape == (g.num_nodes, len(masks))
+            assert junction is None or len(junction[1]) == g.num_nodes
 
 
 # -- graphlet3: array counts per batch of new graphs ------------------------

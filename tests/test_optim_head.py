@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from gkconv.head import (HeadError, LossReport, batch_loss, init_mlp,
-                         jsd_grad, jsd_loss, mlp_update, readout)
+                         mlp_update, readout)
 from gkconv.optim import Adam
 from conftest import graph_gradients
-from oracle import cross_entropy, mlp_forward, pool_sum, predict, softmax
+from oracle import (cross_entropy, jsd_grad, jsd_loss, mlp_forward,
+                    pool_sum, predict, softmax)
 
 
 # --- optimizer ---------------------------------------------------------
