@@ -14,17 +14,22 @@ the k-th node pair u < v in row-major order: it adds the edge when the
 pair is absent and removes it when present. Label edit k gives node
 k // (L - 1) the (k % (L - 1))-th of its L - 1 other labels, L being the
 layer's dictionary size. Every index names a legal edit.
+
+``StructuralMask.present`` marks the pairs that are edges, for the
+weights and the update. An edit derives the next mask from the parent's
+parts; one the kernel cannot see keeps its graph object (a no-op:
+``after.graph is mask.graph``). A one-label label phase is empty. The
+draw is Generator.choice(len(w), p=w) inlined, one random() per draw.
 """
 
 from __future__ import annotations
 
-from functools import cache
-from itertools import combinations
+from itertools import compress
 
 import numpy as np
 
-from .graphs import LabeledGraph
-from .model import (EditProbabilities, LayerConfig, StructuralMask,
+from .graphs import LabeledGraph, induced_subgraph, max_component_nodes
+from .model import (EditProbabilities, LayerConfig, StructuralMask, _pairs,
                     random_connected_graph)
 
 EDGE_PHASE = "edge"
@@ -33,12 +38,6 @@ LABEL_PHASE = "label"
 
 class DrdError(ValueError):
     pass
-
-
-@cache
-def _pairs(d: int) -> tuple:
-    """Node pairs u < v of d nodes, row-major: edge edit k toggles the k-th."""
-    return tuple(combinations(range(d), 2))
 
 
 def _relabel(mask: StructuralMask, k: int):
@@ -51,47 +50,66 @@ def _phase_weights(mask: StructuralMask, phase: str) -> np.ndarray:
     """Normalized weights of the phase's edits, edit k at w[k]: one per
     node pair (removal weight for a present edge, add weight for an
     absent one), or one per node and other label, node by node."""
-    ws = mask.workspace
+    ep, ws = mask.edit_probs, mask.workspace
     if phase == EDGE_PHASE:
-        p = mask.edit_probs.edge_probs()
-        edges = set(ws.edges)
-        present = np.fromiter((e in edges for e in _pairs(ws.num_nodes)),
-                              dtype=bool, count=len(p))
-        w = np.where(present, 1.0 - p, p)
+        p = ep.edge_probs()
+        w = np.where(mask.present, 1.0 - p, p)
     elif phase == LABEL_PHASE:
-        s = mask.edit_probs.label_probs()
+        if ep.label_logits.shape[1] == 1:  # no node has another label
+            return np.empty(0)
+        s = ep.label_probs()
         w = s[np.arange(s.shape[1]) != np.array(ws.labels)[:, None]]
     else:
         raise DrdError(f"unknown phase {phase!r}")
-    if not len(w):
-        return w
     total = w.sum()
-    if total <= 0.0:
-        return np.full(len(w), 1.0 / len(w))
+    if total <= 0.0:  # every edit weighs 0, or there is none
+        return np.full(len(w), 1.0) / max(len(w), 1)
     return w / total
 
 
 def sample_edit(mask: StructuralMask, phase: str,
                 rng: np.random.Generator):
-    """Index of one edit drawn from the phase distribution; None if the
-    phase has no edits."""
+    """Index of one edit drawn from the phase distribution (the draw of
+    the module docstring); None if the phase has no edits."""
     w = _phase_weights(mask, phase)
-    return int(rng.choice(len(w), p=w)) if len(w) else None
+    if not len(w):
+        return None
+    cdf = w.cumsum()
+    if not np.isfinite(cdf[-1]):
+        raise DrdError(f"non-finite {phase} edit weights")
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
 
 
 def apply_edit(mask: StructuralMask, phase: str, k: int) -> StructuralMask:
-    """The mask after edit k of the phase: a new workspace, its effective
-    component rebuilt, the same edit state."""
-    ws = mask.workspace
+    """The mask after edit k of the phase, with the same edit state, its
+    parts derived from mask's unchecked: an edit the kernel cannot see
+    keeps mask.graph itself; only an effective one builds a graph."""
+    ws, comp = mask.workspace, mask.component
+    out = object.__new__(StructuralMask)
+    out.edit_probs, out.component, out.graph, out.present = (
+        mask.edit_probs, comp, mask.graph, mask.present)
     if phase == EDGE_PHASE:
-        pair = _pairs(ws.num_nodes)[k]
-        new = LabeledGraph(ws.num_nodes, set(ws.edges) ^ {pair}, ws.labels)
+        pairs = _pairs(ws.num_nodes)
+        u, v = pairs[k]
+        out.present = present = mask.present.copy()
+        present[k] = not present[k]
+        adj = list(ws.adj)
+        adj[u], adj[v] = (tuple(sorted(set(adj[a]) ^ {b}))
+                          for a, b in ((u, v), (v, u)))
+        out.workspace = ws = LabeledGraph.trusted(ws.num_nodes, tuple(
+            compress(pairs, present.tolist())), ws.labels, tuple(adj))
+        new = tuple(max_component_nodes(ws))
+        if new != comp or u in comp:  # a kept component holds both or none
+            out.component, out.graph = new, induced_subgraph(ws, new)
     else:
         node, label = _relabel(mask, k)
-        labels = list(ws.labels)
-        labels[node] = label
-        new = ws.with_labels(labels)
-    return StructuralMask(new, mask.edit_probs)
+        labels = ws.labels[:node] + (label,) + ws.labels[node + 1:]
+        out.workspace = ws = LabeledGraph.trusted(ws.num_nodes, ws.edges,
+                                                  labels, ws.adj)
+        if node in comp:
+            out.graph = induced_subgraph(ws, comp)
+    return out
 
 
 def update_probs(mask: StructuralMask, phase: str, k: int,
@@ -103,18 +121,16 @@ def update_probs(mask: StructuralMask, phase: str, k: int,
     ep = mask.edit_probs
     if phase == EDGE_PHASE:
         p = ep.edge_probs()[k]
-        ws = mask.workspace
-        sign = -1.0 if ws.has_edge(*_pairs(ws.num_nodes)[k]) else 1.0
+        sign = -1.0 if mask.present[k] else 1.0
         g = np.zeros_like(ep.edge_logits)
         g[k] = est * sign * p * (1.0 - p)
         ep.edge_opt.step({"edge": ep.edge_logits}, {"edge": g})
     else:
         node, label = _relabel(mask, k)
         s = ep.label_probs()[node]
-        row = -est * s[label] * s
-        row[label] += est * s[label]
         g = np.zeros_like(ep.label_logits)
-        g[node] = row
+        g[node] = -est * s[label] * s
+        g[node, label] += est * s[label]
         ep.label_opt.step({"label": ep.label_logits}, {"label": g})
 
 
@@ -127,7 +143,8 @@ def drd_step_batched(mask: StructuralMask, phase: str,
     egos of every node of the batch, before_col is that column for the
     current mask and grads is d loss / d response per node; the estimate
     of the loss change is grads . (responses(after) - before_col), and 0
-    for an edit the kernel cannot see. Returns (mask after the step,
+    for an edit the kernel cannot see (its mask graph object is kept, so
+    the engine keeps its responses). Returns (mask after the step,
     accepted, estimate). The edit is kept exactly when the estimate is
     <= 0; the sampling distribution is updated either way. A phase with
     no edits returns (mask, False, 0.0) and touches no state.
@@ -136,14 +153,8 @@ def drd_step_batched(mask: StructuralMask, phase: str,
     if k is None:
         return mask, False, 0.0
     after = apply_edit(mask, phase, k)
-    if ((after.component, after.graph.edges, after.graph.labels)
-            == (mask.component, mask.graph.edges, mask.graph.labels)):
-        est = 0.0
-        # the same effective mask, so the same graph object: a new one
-        # would read as a changed bank and drop the engine's kept responses
-        after.graph = mask.graph
-    else:
-        est = float(grads @ (responses(after.graph) - before_col))
+    est = 0.0 if after.graph is mask.graph else float(
+        grads @ (responses(after.graph) - before_col))
     update_probs(mask, phase, k, est)
     if est <= 0.0:
         return after, True, est

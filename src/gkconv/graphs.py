@@ -62,11 +62,16 @@ class LabeledGraph:
         self.num_nodes = num_nodes
         self.edges = tuple(sorted(seen))
         self.labels = labels
-        nbrs = [[] for _ in range(num_nodes)]
-        for a, b in self.edges:
-            nbrs[a].append(b)
-            nbrs[b].append(a)
-        self.adj = tuple(tuple(sorted(ns)) for ns in nbrs)
+        self.adj = _adjacency(num_nodes, self.edges)
+
+    @classmethod
+    def trusted(cls, num_nodes, edges, labels, adj=None) -> "LabeledGraph":
+        """A graph from valid parts, unchecked: edges sorted distinct pairs
+        a < b, labels a tuple of ints >= 0, adj (if given) their rows."""
+        g = object.__new__(cls)
+        g.num_nodes, g.edges, g.labels = num_nodes, edges, labels
+        g.adj = _adjacency(num_nodes, edges) if adj is None else adj
+        return g
 
     @property
     def num_edges(self) -> int:
@@ -76,23 +81,21 @@ class LabeledGraph:
         return v in self.adj[u] if 0 <= u < self.num_nodes else False
 
     def with_labels(self, labels) -> "LabeledGraph":
-        """Same structure, new labels. Shares the adjacency arrays."""
-        labels = tuple(int(x) for x in labels)
-        if len(labels) != self.num_nodes:
-            raise GraphError(
-                f"got {len(labels)} labels for {self.num_nodes} nodes")
-        if any(l < 0 for l in labels):
-            raise GraphError("node labels must be non-negative")
-        g = object.__new__(LabeledGraph)
-        g.num_nodes = self.num_nodes
-        g.edges = self.edges
-        g.labels = labels
-        g.adj = self.adj
-        return g
+        """Same structure, new labels."""
+        return LabeledGraph(self.num_nodes, self.edges, labels)
 
     def __repr__(self):
         return (f"LabeledGraph(n={self.num_nodes}, m={self.num_edges}, "
                 f"labels={list(self.labels)})")
+
+
+def _adjacency(num_nodes: int, edges) -> tuple:
+    """Sorted neighbor rows of sorted pairs a < b: lower neighbors first."""
+    nbrs = [[] for _ in range(num_nodes)]
+    for a, b in edges:
+        nbrs[a].append(b)
+        nbrs[b].append(a)
+    return tuple(map(tuple, nbrs))
 
 
 @dataclass(frozen=True)
@@ -233,13 +236,13 @@ def max_component_nodes(g: LabeledGraph):
 
 def induced_subgraph(g: LabeledGraph, nodes) -> LabeledGraph:
     nodes = sorted(set(nodes))
+    if len(nodes) == g.num_nodes:  # all of g: g itself, immutable
+        return g
     local = {p: i for i, p in enumerate(nodes)}
-    edges = []
-    for p in nodes:
-        for w in g.adj[p]:
-            if w > p and w in local:
-                edges.append((local[p], local[w]))
-    return LabeledGraph(len(nodes), edges, [g.labels[p] for p in nodes])
+    # g's pairs are sorted and local ids keep their order
+    return LabeledGraph.trusted(len(nodes), tuple(
+        (local[a], local[b]) for a, b in g.edges
+        if a in local and b in local), tuple(g.labels[p] for p in nodes))
 
 
 def to_dot(g: LabeledGraph, name: str = "G", colors=None) -> str:

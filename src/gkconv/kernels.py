@@ -189,16 +189,11 @@ def graphlet3_union(indptr, indices, sizes) -> np.ndarray:
     return np.column_stack((tri, wedges - 3 * tri))
 
 
-def safe_divide(out: np.ndarray, denom: np.ndarray) -> np.ndarray:
-    """out / denom in place where denom > 0, zero where it is not.
-
-    Normalized kernels use it so that an empty histogram (norm 0) scores
-    0 against everything instead of NaN. out holds dot products of
-    non-negative counts and denom the products of their norms, so where
-    denom is 0 one count vector is all zero and out already holds +0.0.
-    """
-    np.divide(out, denom, out=out, where=denom > 0)
-    return out
+def safe_norms(norms) -> np.ndarray:
+    """norms to divide the kernel's dot products by, 0 read as 1: a zero
+    count vector's dot products are +0.0 already, so an empty histogram
+    scores 0 against everything instead of NaN."""
+    return np.where(norms > 0, norms, 1.0)
 
 
 def kernel_matrix(cfg: KernelConfig, left, right) -> np.ndarray:
@@ -237,8 +232,8 @@ def kernel_matrix(cfg: KernelConfig, left, right) -> np.ndarray:
         sq = (rows * rows).sum(axis=1)
         out = rows[:n] @ rows[k:].T
     if cfg.normalized:
-        norms = np.sqrt(sq)
-        safe_divide(out, np.outer(norms[:n], norms[k:]))
+        norms = safe_norms(np.sqrt(sq))
+        out /= np.outer(norms[:n], norms[k:])
     return out
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, fields
 from functools import cache
-from itertools import chain
+from itertools import chain, combinations
 
 import numpy as np
 import scipy.sparse as sp
@@ -25,7 +25,7 @@ from .graphs import (EgoBalls, LabeledGraph, LabelDictionary, _ranges,
 from .head import MlpParams
 from .kernels import (GRAPHLET3, WL_SUBTREE, KernelConfig, WlColorTable,
                       graphlet3_union, graphlet3_vector, refine_union,
-                      safe_divide)
+                      safe_norms)
 from .optim import Adam
 from .quantizer import Codebook, CodebookStateError, assign, fit_update
 
@@ -139,6 +139,12 @@ class EditProbabilities:
         return e / e.sum(axis=1, keepdims=True)
 
 
+@cache
+def _pairs(d: int) -> tuple:
+    """Node pairs u < v of d nodes, row-major: edge edit k toggles the k-th."""
+    return tuple(combinations(range(d), 2))
+
+
 class StructuralMask:
     """A learnable mask graph plus its edit state.
 
@@ -146,20 +152,19 @@ class StructuralMask:
     edge set and labels get edited during training; the effective mask
     scored by the kernel is the workspace's largest connected component.
     Keeping the workspace at fixed size gives the edit logits a stable
-    index space and lets masks grow back after shrinking.
+    index space and lets masks grow back after shrinking. present[k]: is
+    the k-th pair of ``_pairs`` an edge of the workspace.
     """
 
-    __slots__ = ("workspace", "edit_probs", "component", "graph")
+    __slots__ = ("workspace", "edit_probs", "component", "graph", "present")
 
     def __init__(self, workspace: LabeledGraph, edit_probs):
         self.workspace = workspace
         self.edit_probs = edit_probs
         self.component = tuple(max_component_nodes(workspace))
         self.graph = induced_subgraph(workspace, self.component)
-
-    def __repr__(self):
-        return (f"StructuralMask(d={self.workspace.num_nodes}, "
-                f"p={self.graph.num_nodes})")
+        self.present = np.array([workspace.has_edge(*e) for e in _pairs(
+            workspace.num_nodes)], dtype=bool)
 
 
 def _prufer_tree_edges(d: int, rng: np.random.Generator):
@@ -219,6 +224,25 @@ def _check_layer_input(layer: LayerConfig, labels: np.ndarray, masks):
             raise ModelError("mask label outside layer dictionary")
 
 
+def _check_mask_state(layer: LayerConfig, state: dict, pre: str) -> None:
+    """Raise a ModelError naming the first array of the mask state under
+    pre whose shape, or node or label range, misfits the layer."""
+    d, size = layer.max_mask_nodes, layer.input_dictionary.size
+    want = {"edges": (np.shape(state[pre + "edges"])[:1] + (2,), d),
+            "labels": ((d,), size)}
+    for kind, shape in ("edge", (d * (d - 1) // 2,)), ("label", (d, size)):
+        for name in ("_logits", f"_opt.m.{kind}", f"_opt.v.{kind}"):
+            want[kind + name] = shape, 0  # logits and their Adam moments
+    for key, (shape, top) in want.items():  # absent: no Adam step yet
+        arr = np.asarray(state.get(pre + key, np.zeros(shape)))
+        if arr.shape != shape:
+            raise ModelError(
+                f"{pre}{key}: expected shape {shape}, found {arr.shape}")
+        if top and arr.size and not (arr.min() >= 0 and arr.max() < top):
+            raise ModelError(f"{pre}{key}: expected values in [0, {top}), "
+                             f"found {arr.min()}..{arr.max()}")
+
+
 def _put(out: dict, prefix: str, values: dict) -> None:
     """values into out under prefix, an optimizer's state one level down."""
     for key, val in values.items():
@@ -266,6 +290,9 @@ class ModelParams:
         """The params a state() dict describes, on copies of its arrays;
         a missing or bad value raises KeyError, TypeError or ValueError."""
         keys = sorted(state)  # a prefix's keys: adjacent, below prefix + "~"
+        for l, layer in enumerate(net.layers):
+            for i in range(layer.num_masks):
+                _check_mask_state(layer, state, f"masks.{l}.{i}.")
 
         def adam(prefix):
             opt = Adam(float(state[prefix + "lr"]))
@@ -553,14 +580,15 @@ class ForwardEngine:
         labeling is labels: k mask graphs -> their (n, k) responses. rows()
         gives the batch side, a dot function of k mask vectors and the
         egos' norms; stat(g) a mask's vector (a deep WL mask's is the graph)
-        and norm. The stats of the bank and of every candidate the batch
-        scores are kept until the next batch, which keeps its bank's only."""
+        and norm; a norm of 0 divides as 1 (``safe_norms``). The stats of
+        the bank and of every candidate the batch scores are kept until the
+        next batch, which keeps its bank's only."""
         kernel, radius = layer.kernel, layer.radius
         if kernel.kind == GRAPHLET3:
             def rows():
                 lv = self._graphlet_rows(graphs, radius)
                 return (lambda vecs: lv @ np.array(vecs).T,
-                        np.sqrt((lv * lv).sum(axis=1)))
+                        safe_norms(np.sqrt((lv * lv).sum(axis=1))))
 
             def stat(g):
                 rv = graphlet3_vector(g)
@@ -577,7 +605,7 @@ class ForwardEngine:
                         keep = colors < len(counts)
                         counts[colors[keep], j] = c[keep]
                     return mat @ counts
-                return dot, norms
+                return dot, safe_norms(norms)
 
             def stat(g):
                 deg = max(map(len, g.adj), default=0)
@@ -594,7 +622,7 @@ class ForwardEngine:
                 indptr, nbrs, origin, sizes = self._ego_balls(graphs, radius)
                 union = refine_union(indptr, nbrs, labels[origin], sizes,
                                      kernel.wl_iterations)
-                return union.dot, union.norms
+                return union.dot, safe_norms(union.norms)
 
             def stat(g):
                 if not kernel.normalized:
@@ -610,11 +638,14 @@ class ForwardEngine:
 
         def bank(gs):
             dot, norms = rows()
-            stats.update((g, stat(g)) for g in gs if g not in stats)
-            vecs, mask_norms = zip(*(stats[g] for g in gs))
+            for g in gs:
+                if g not in stats:
+                    stats[g] = stat(g)
+            vecs, mask_norms = zip(*map(stats.__getitem__, gs))
             z = dot(vecs)
-            return (safe_divide(z, norms[:, None] * mask_norms)
-                    if kernel.normalized else z)
+            if kernel.normalized:
+                z /= np.multiply.outer(norms, [n or 1.0 for n in mask_norms])
+            return z
 
         return bank
 

@@ -15,7 +15,8 @@ from gkconv.checkpoint import (MAGIC, VERSION, CheckpointError,
 from gkconv.data import generate_triangle_cycle_dataset, split_holdout
 from gkconv.graphs import LabelDictionary
 from gkconv.kernels import WL_SUBTREE, KernelConfig
-from gkconv.model import ForwardEngine, LayerConfig, NetworkConfig
+from gkconv.model import (ForwardEngine, LayerConfig, ModelError,
+                          ModelParams, NetworkConfig)
 from gkconv.rng import stream
 
 
@@ -220,4 +221,41 @@ def test_manifest_with_missing_arrays_is_rejected(tmp_path):
     rewrite_manifest(path, lambda m: {**m, "arrays": [
         e for e in m["arrays"] if e["name"] != "mlp.W1"]})
     with pytest.raises(CheckpointError, match="missing or corrupt"):
+        load_checkpoint(path)
+
+
+# one bad value each, against trained_two_layer's net: 3-node masks, one
+# label on layer 0 and two on layer 1
+BAD_MASK_ARRAYS = {
+    "masks.0.0.edges": np.zeros(4, dtype=np.int64),
+    "masks.0.1.edges": np.array([[0, 3]]),
+    "masks.0.1.labels": np.zeros(2, dtype=np.int64),
+    "masks.0.0.labels": np.array([0, 1, 0]),
+    "masks.0.0.edge_logits": np.zeros(99),
+    "masks.1.0.label_logits": np.zeros((3, 3)),
+    "masks.0.0.edge_opt.m.edge": np.zeros(2),
+    "masks.1.1.label_opt.v.label": np.zeros((2, 2)),
+}
+
+
+@pytest.mark.parametrize("key", sorted(BAD_MASK_ARRAYS))
+def test_mask_arrays_must_fit_their_layer(key):
+    _, net, params = trained_two_layer()
+    state = params.state()
+    assert key in state
+    state[key] = BAD_MASK_ARRAYS[key]
+    with pytest.raises(ModelError, match=re.escape(key) + ": expected"):
+        ModelParams.from_state(net, state)
+
+
+def test_checkpoint_with_a_misshapen_mask_array_names_file_and_key(
+        tmp_path):
+    # a 99-long edge logit vector used to load, and crash at the first
+    # edge step
+    _, net, params = trained_two_layer()
+    params.masks[0][0].edit_probs.edge_logits = np.zeros(99)
+    path = save_checkpoint(tmp_path / "model.gkc", net, params)
+    with pytest.raises(CheckpointError, match=re.escape(str(path))
+                       + ".*masks\\.0\\.0\\.edge_logits: expected shape "
+                       "\\(3,\\), found \\(99,\\)"):
         load_checkpoint(path)

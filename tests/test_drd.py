@@ -13,10 +13,12 @@ import pytest
 import gkconv.experiment as ex
 from gkconv.data import (MotifSpec, generate_motif_dataset,
                          generate_triangle_cycle_dataset, split_holdout)
+from gkconv import graphs
 from gkconv.drd import (DrdError, EditProbabilities, _phase_weights,
                         apply_edit, drd_step_batched, init_mask_bank,
                         init_structural_mask, sample_edit, update_probs)
-from gkconv.graphs import LabelDictionary, LabeledGraph, complete_graph
+from gkconv.graphs import (LabelDictionary, LabeledGraph, complete_graph,
+                           induced_subgraph)
 from gkconv.kernels import GRAPHLET3, WL_SUBTREE, KernelConfig, kernel_matrix
 from gkconv import model
 from gkconv.model import (ForwardEngine, LayerConfig, ModelParams,
@@ -285,6 +287,207 @@ def test_every_index_edits_exactly_its_pair_or_label():
             assert after.labels[v] == y
             assert after.edges == ws.edges
         assert mask.workspace is ws
+
+
+def validating_edit(mask, phase, k):
+    """Reference: edit k's workspace built by the validating constructor,
+    and the mask StructuralMask derives from it."""
+    ws = mask.workspace
+    d = ws.num_nodes
+    edges, labels = set(ws.edges), list(ws.labels)
+    if phase == EDGE:
+        edges ^= {[(u, v) for u in range(d) for v in range(u + 1, d)][k]}
+    else:
+        others = [(v, y) for v in range(d)
+                  for y in range(mask.edit_probs.label_logits.shape[1])
+                  if y != ws.labels[v]]
+        node, label = others[k]
+        labels[node] = label
+    return StructuralMask(LabeledGraph(d, list(edges)[::-1], labels),
+                          mask.edit_probs)
+
+
+def same_graph(a, b):
+    return ((a.num_nodes, a.edges, a.labels, a.adj)
+            == (b.num_nodes, b.edges, b.labels, b.adj))
+
+
+def present_of(ws):
+    d = ws.num_nodes
+    return [ws.has_edge(u, v) for u in range(d) for v in range(u + 1, d)]
+
+
+def test_array_edit_equals_the_validating_path():
+    rng = np.random.default_rng(41)
+    for mask in random_workspace_masks(rng, 120):
+        assert mask.present.tolist() == present_of(mask.workspace)
+        for phase in (EDGE, LABEL):
+            for k in range(len(_phase_weights(mask, phase))):
+                after = apply_edit(mask, phase, k)
+                want = validating_edit(mask, phase, k)
+                assert same_graph(after.workspace, want.workspace)
+                assert after.component == want.component
+                assert same_graph(after.graph, want.graph)
+                assert after.present.tolist() == present_of(want.workspace)
+                assert (after.graph is mask.graph) == (
+                    not sees_change(mask, want))
+                assert after.edit_probs is mask.edit_probs
+        # a chain of edits, each on the last one's arrays, then a state
+        # roundtrip, keeps present on the workspace's edges
+        lay = layer(nodes=mask.workspace.num_nodes,
+                    dict_size=mask.edit_probs.label_logits.shape[1])
+        for _ in range(12):
+            phase = (EDGE, LABEL)[int(rng.integers(2))]
+            n = len(_phase_weights(mask, phase))
+            if n:
+                mask = apply_edit(mask, phase, int(rng.integers(n)))
+                assert mask.present.tolist() == present_of(mask.workspace)
+        net = NetworkConfig(layers=(lay,), quantizer_k=())
+        back = ModelParams.from_state(
+            net, ModelParams(masks=[[mask]], codebooks=[]).state())
+        loaded = back.masks[0][0]
+        assert loaded.present.tolist() == mask.present.tolist()
+        assert same_graph(loaded.graph, mask.graph)
+
+
+def test_trusted_builder_equals_the_validating_constructor():
+    rng = np.random.default_rng(42)
+    for _ in range(200):
+        g = random_graph(rng, n_max=9, dict_size=4, p=rng.random())
+        shuffled = [(b, a) for a, b in rng.permutation(
+            np.array(g.edges, dtype=int).reshape(-1, 2)).tolist()]
+        want = LabeledGraph(g.num_nodes, shuffled, g.labels)
+        assert same_graph(LabeledGraph.trusted(g.num_nodes, g.edges,
+                                               g.labels), want)
+        nodes = [v for v in range(g.num_nodes) if rng.random() < 0.6]
+        local = {v: i for i, v in enumerate(nodes)}
+        sub = LabeledGraph(len(nodes), [(local[a], local[b])
+                                        for a, b in g.edges
+                                        if a in local and b in local],
+                           [g.labels[v] for v in nodes])
+        assert same_graph(induced_subgraph(g, nodes[::-1]), sub)
+
+
+def choice_cases(rng, count):
+    """(mask, phase) pairs whose weights cover the draw's corners: zero
+    weights, the uniform fallback and length 1."""
+    full = StructuralMask(complete_graph(4), EditProbabilities.zeros(4, 2))
+    one_pair = fresh_mask(nodes=2, dict_size=1)
+    one_label = fresh_mask(nodes=1, dict_size=2)
+    pool = [fresh_mask(int(rng.integers(2, 9)), int(rng.integers(2, 5)),
+                       seed=s) for s in range(20)]
+    for trial in range(count):
+        corner = trial % 8
+        if corner == 0:  # every removal weighs 0: uniform fallback
+            full.edit_probs.edge_logits[:] = 60.0
+            yield full, EDGE
+        elif corner == 1:
+            yield one_pair, EDGE
+        elif corner == 2:
+            yield one_label, LABEL
+        else:
+            mask = pool[trial % len(pool)]
+            ep = mask.edit_probs
+            ep.edge_logits[:] = rng.normal(scale=4.0,
+                                           size=ep.edge_logits.shape)
+            ep.label_logits[:] = rng.normal(scale=4.0,
+                                            size=ep.label_logits.shape)
+            if corner == 3:  # saturated: exact zero weights
+                ep.edge_logits[:] = 60.0 * np.sign(ep.edge_logits)
+                ep.label_logits[:] = 800.0 * np.sign(ep.label_logits)
+            yield mask, (EDGE, LABEL)[trial % 2]
+
+
+def test_inlined_draw_equals_generator_choice():
+    rng = np.random.default_rng(43)
+    zero_weights = uniform = single = 0
+    for trial, (mask, phase) in enumerate(choice_cases(rng, 10_000)):
+        w = _phase_weights(mask, phase)
+        zero_weights += int((w == 0.0).any())
+        uniform += int(len(w) > 1 and (w == 1.0 / len(w)).all())
+        single += int(len(w) == 1)
+        a, b, c = (np.random.default_rng(trial) for _ in range(3))
+        assert sample_edit(mask, phase, a) == int(b.choice(len(w), p=w))
+        c.random()  # one draw consumes exactly one random()
+        assert a.bit_generator.state == b.bit_generator.state \
+            == c.bit_generator.state
+    assert zero_weights > 100 and uniform >= 1000 and single >= 2000
+
+
+@pytest.mark.parametrize("phase", [EDGE, LABEL])
+def test_nan_logits_raise_drd_error(phase):
+    mask = fresh_mask(nodes=4, dict_size=3)
+    mask.edit_probs.edge_logits[1] = np.nan
+    mask.edit_probs.label_logits[2, 0] = np.nan
+    with pytest.raises(DrdError, match="non-finite"):
+        sample_edit(mask, phase, np.random.default_rng(0))
+
+
+def spy_builds(monkeypatch):
+    """Counts of validating constructions, of adjacency builds (the
+    trusted builder every new graph structure goes through) and of label
+    softmaxes, while the test runs."""
+    calls = {"init": 0, "adjacency": 0, "softmax": 0}
+
+    def counting(name, fn):
+        def spy(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return spy
+
+    monkeypatch.setattr(LabeledGraph, "__init__",
+                        counting("init", LabeledGraph.__init__))
+    monkeypatch.setattr(graphs, "_adjacency",
+                        counting("adjacency", graphs._adjacency))
+    monkeypatch.setattr(EditProbabilities, "label_probs",
+                        counting("softmax", EditProbabilities.label_probs))
+    return calls
+
+
+def unseen(mask_graph):
+    raise AssertionError("this step needs no response column")
+
+
+def test_one_label_phase_and_dead_edit_build_nothing(monkeypatch):
+    ws = LabeledGraph(5, [(0, 1), (0, 2), (1, 2)], [0] * 5)
+    mask = StructuralMask(ws, EditProbabilities.zeros(5, 1))
+    logits = mask.edit_probs.edge_logits
+    logits[:] = -60.0
+    for u, v in ws.edges + ((3, 4),):  # draws the dead pair (3, 4)
+        logits[pair_index(u, v, 5)] = 60.0
+    calls = spy_builds(monkeypatch)
+    out, accepted, est = drd_step_batched(
+        mask, LABEL, np.random.default_rng(0), unseen, np.ones(3),
+        np.ones(3))
+    assert (out, accepted, est) == (mask, False, 0.0)
+    out, accepted, est = drd_step_batched(
+        mask, EDGE, np.random.default_rng(0), unseen, np.ones(3),
+        np.ones(3))
+    assert accepted and est == 0.0 and out.workspace.has_edge(3, 4)
+    assert out.graph is mask.graph
+    assert calls == {"init": 0, "adjacency": 0, "softmax": 0}
+
+
+def test_effective_edits_build_one_trusted_graph(monkeypatch):
+    # an effective edit builds its component graph once, through the
+    # trusted builder, and validates nothing; its workspace shares or
+    # patches the parent's adjacency rows. A component of every node is
+    # the workspace itself, so it builds nothing.
+    ws = LabeledGraph(5, [(0, 1), (1, 2), (2, 3)], [0, 1, 0, 1, 0])
+    mask = StructuralMask(ws, EditProbabilities.zeros(5, 2))
+    calls = spy_builds(monkeypatch)
+    grown = apply_edit(mask, EDGE, pair_index(0, 2, 5))
+    assert calls == {"init": 0, "adjacency": 1, "softmax": 0}
+    relabeled = apply_edit(mask, LABEL, label_index(mask, 1, 0))
+    assert calls == {"init": 0, "adjacency": 2, "softmax": 0}
+    assert grown.graph.has_edge(0, 2) and relabeled.graph.labels[1] == 0
+    assert relabeled.workspace.adj is ws.adj
+    assert grown.workspace.adj[4] is ws.adj[4]
+    whole = apply_edit(grown, EDGE, pair_index(3, 4, 5))
+    again = apply_edit(whole, LABEL, label_index(whole, 4, 1))
+    assert whole.graph is whole.workspace and again.graph is again.workspace
+    assert again.graph.labels == (0, 1, 0, 1, 1)
+    assert calls == {"init": 0, "adjacency": 2, "softmax": 0}
 
 
 def test_effective_change_ignores_dead_component_edits():
