@@ -148,6 +148,46 @@ class EgoBalls(NamedTuple):
     sizes: np.ndarray   # node count per ball, in center order
 
 
+def concat_balls(parts):
+    """The disjoint union of several graphs' EgoBalls as CSR arrays
+    (indptr, neighbors), plus the node each union node copies, in the
+    graphs' end-to-end ids, and the ball sizes."""
+    node_off = np.cumsum([0] + [len(p.degree) for p in parts[:-1]])
+    label_off = np.cumsum([0] + [len(p.sizes) for p in parts[:-1]])
+    degree = np.concatenate([p.degree for p in parts])
+    return (np.concatenate(([0], np.cumsum(degree, dtype=np.int64))),
+            np.concatenate([p.nbrs + o for p, o in zip(parts, node_off)]),
+            np.concatenate([p.origin + o for p, o in zip(parts, label_off)]),
+            np.concatenate([p.sizes for p in parts]))
+
+
+def split_balls(union: EgoBalls, graphs) -> list:
+    """The EgoBalls of each of graphs, cut from the union ``ego_balls``
+    built of them, each in its own graph's ids."""
+    first = np.cumsum([0] + [g.num_nodes for g in graphs])
+    node_at = np.concatenate(
+        ([0], np.cumsum(union.sizes, dtype=np.int64)))[first]
+    edge_at = np.concatenate(
+        ([0], np.cumsum(union.degree, dtype=np.int64)))[node_at]
+    first, node_at, edge_at = (a.tolist() for a in (first, node_at, edge_at))
+    return [EgoBalls(union.degree[u0:u1], union.nbrs[e0:e1] - u0,
+                     union.origin[u0:u1] - f0, union.sizes[f0:f1])
+            for f0, f1, u0, u1, e0, e1 in zip(
+                first, first[1:], node_at, node_at[1:], edge_at, edge_at[1:])]
+
+
+def union_adjacency(graphs) -> tuple:
+    """CSR (indptr, indices) of the disjoint union of a sequence of
+    graphs, graph after graph, as int64 arrays."""
+    adj = list(chain.from_iterable(g.adj for g in graphs))
+    deg = np.fromiter(map(len, adj), dtype=np.int64, count=len(adj))
+    indptr = np.concatenate(([0], np.cumsum(deg)))
+    node_off = np.cumsum([0] + [g.num_nodes for g in graphs])[:-1]
+    return indptr, np.repeat(
+        node_off, [2 * g.num_edges for g in graphs]) + np.fromiter(
+        chain.from_iterable(adj), dtype=np.int64, count=int(indptr[-1]))
+
+
 def _ranges(lo: np.ndarray, span: np.ndarray) -> np.ndarray:
     """The integer ranges [lo[i], lo[i] + span[i]) laid end to end."""
     return np.repeat(lo - np.cumsum(span) + span, span) \
@@ -164,16 +204,9 @@ def ego_balls(graphs, r: int) -> EgoBalls:
     """
     if r < 0:
         raise GraphError(f"negative radius {r}")
-    graphs = list(graphs)
-    deg = np.fromiter((len(ns) for g in graphs for ns in g.adj),
-                      dtype=np.int64, count=sum(g.num_nodes for g in graphs))
+    indptr, indices = union_adjacency(list(graphs))
+    deg = np.diff(indptr)
     n = len(deg)
-    indptr = np.concatenate(([0], np.cumsum(deg)))
-    node_off = np.cumsum([0] + [g.num_nodes for g in graphs])[:-1]
-    indices = np.repeat(node_off, [2 * g.num_edges for g in graphs]) \
-        + np.fromiter(chain.from_iterable(
-            chain.from_iterable(g.adj) for g in graphs),
-            dtype=np.int64, count=int(indptr[-1]))
     step = sp.csr_matrix((np.ones(len(indices), dtype=bool), indices, indptr),
                          shape=(n, n)) + sp.eye(n, dtype=bool, format="csr")
     reach = sp.eye(n, dtype=bool, format="csr")

@@ -29,7 +29,7 @@ from itertools import chain
 import numpy as np
 import scipy.sparse as sp
 
-from .graphs import LabeledGraph, _ranges
+from .graphs import LabeledGraph, _ranges, union_adjacency
 
 WL_SUBTREE = "wl_subtree"
 GRAPHLET3 = "graphlet3"
@@ -293,23 +293,9 @@ class _Adjacency:
         return out
 
 
-def _adjacency_of(graphs) -> _Adjacency:
-    """The adjacency of the graphs' disjoint union, graph after graph."""
-    adj = list(chain.from_iterable(g.adj for g in graphs))
-    deg = np.fromiter(map(len, adj), dtype=np.int64, count=len(adj))
-    indptr = np.concatenate(([0], np.cumsum(deg)))
-    node_off = np.cumsum([0] + [g.num_nodes for g in graphs])[:-1]
-    return _Adjacency(indptr, np.repeat(
-        node_off, [2 * g.num_edges for g in graphs]) + np.fromiter(
-        chain.from_iterable(adj), dtype=np.int64, count=int(indptr[-1])))
-
-
 def csc_dot(col_ptr, row, val, cols, weights, n_rows: int) -> np.ndarray:
     """Sum over j of weights[j] times column cols[j] of the CSC matrix
-    (col_ptr, row, val) with n_rows rows. A column id past the matrix's
-    last column is an empty column."""
-    keep = cols < len(col_ptr) - 1
-    cols, weights = cols[keep], weights[keep]
+    (col_ptr, row, val) with n_rows rows."""
     lo = col_ptr[cols]
     span = col_ptr[cols + 1] - lo
     at = _ranges(lo, span)
@@ -360,7 +346,7 @@ class WlUnion:
         matches no column and is left out, along with every color
         refined from it."""
         graphs = list(graphs)
-        adj = _adjacency_of(graphs)
+        adj = _Adjacency(*union_adjacency(graphs))
         cls, found = _lookup(self.labels, np.fromiter(
             chain.from_iterable(g.labels for g in graphs), dtype=np.int64,
             count=adj.n))

@@ -20,8 +20,9 @@ from itertools import chain, combinations
 import numpy as np
 import scipy.sparse as sp
 
-from .graphs import (EgoBalls, LabeledGraph, LabelDictionary, _ranges,
-                     ego_balls, induced_subgraph, max_component_nodes)
+from .graphs import (LabeledGraph, LabelDictionary, concat_balls,
+                     ego_balls, induced_subgraph, max_component_nodes,
+                     split_balls)
 from .head import MlpParams
 from .kernels import (GRAPHLET3, WL_SUBTREE, KernelConfig, WlColorTable,
                       graphlet3_union, graphlet3_vector, refine_union,
@@ -224,22 +225,50 @@ def _check_layer_input(layer: LayerConfig, labels: np.ndarray, masks):
             raise ModelError("mask label outside layer dictionary")
 
 
-def _check_mask_state(layer: LayerConfig, state: dict, pre: str) -> None:
-    """Raise a ModelError naming the first array of the mask state under
-    pre whose shape, or node or label range, misfits the layer."""
-    d, size = layer.max_mask_nodes, layer.input_dictionary.size
-    want = {"edges": (np.shape(state[pre + "edges"])[:1] + (2,), d),
-            "labels": ((d,), size)}
-    for kind, shape in ("edge", (d * (d - 1) // 2,)), ("label", (d, size)):
-        for name in ("_logits", f"_opt.m.{kind}", f"_opt.v.{kind}"):
-            want[kind + name] = shape, 0  # logits and their Adam moments
+def _check_state(net: NetworkConfig, state: dict) -> None:
+    """Raise a ModelError naming the first value of a params state that
+    misfits net: a flag that is not a boolean, a codebook entry of the
+    wrong junction kind or k, or an array whose shape, or node or label
+    range, misfits its layer, its junction or the MLP."""
+    cbs, want = state["codebooks"], {}  # key -> (shape, bound or 0)
+    flags = {"has_mlp": state.get("has_mlp", False)}
+    if not isinstance(cbs, list) or len(cbs) != len(net.quantizer_k):
+        raise ModelError(f"codebooks: expected one entry per junction "
+                         f"({len(net.quantizer_k)}), found {cbs!r}")
+    for j, (k, cm) in enumerate(zip(net.quantizer_k, cbs)):
+        if (cm is None) != (k is None) or cm is not None and cm["k"] != k:
+            raise ModelError(f"codebooks.{j}: expected k={k}, found {cm!r}")
+        if cm is not None:
+            flags.update((f"codebooks.{j}.{key}", cm[key])
+                         for key in ("initialized", "degenerate"))
+            if cm["initialized"]:
+                want[f"codebooks.{j}.centroids"] = (
+                    k, net.layers[j].num_masks), 0
+    for key, val in flags.items():
+        if not isinstance(val, bool):
+            raise ModelError(f"{key}: expected a boolean, found {val!r}")
+    for l, layer in enumerate(net.layers):
+        d, size = layer.max_mask_nodes, layer.input_dictionary.size
+        for pre in (f"masks.{l}.{i}." for i in range(layer.num_masks)):
+            want[pre + "edges"] = np.shape(state[pre + "edges"])[:1] + (2,), d
+            want[pre + "labels"] = (d,), size
+            for kind, shape in (("edge", (d * (d - 1) // 2,)),
+                                ("label", (d, size))):
+                for name in ("_logits", f"_opt.m.{kind}", f"_opt.v.{kind}"):
+                    want[pre + kind + name] = shape, 0  # and Adam moments
+    if flags["has_mlp"]:  # hidden and class counts read off W1 and W2
+        h, c = (np.shape(state[f"mlp.{w}"])[-1:] for w in ("W1", "W2"))
+        for name, shape in (("W1", (net.feature_dim,) + h), ("b1", h),
+                            ("W2", h + c), ("b2", c)):
+            for key in (name, f"opt.m.{name}", f"opt.v.{name}"):
+                want["mlp." + key] = shape, 0
     for key, (shape, top) in want.items():  # absent: no Adam step yet
-        arr = np.asarray(state.get(pre + key, np.zeros(shape)))
+        arr = np.asarray(state.get(key, np.zeros(shape)))
         if arr.shape != shape:
             raise ModelError(
-                f"{pre}{key}: expected shape {shape}, found {arr.shape}")
+                f"{key}: expected shape {shape}, found {arr.shape}")
         if top and arr.size and not (arr.min() >= 0 and arr.max() < top):
-            raise ModelError(f"{pre}{key}: expected values in [0, {top}), "
+            raise ModelError(f"{key}: expected values in [0, {top}), "
                              f"found {arr.min()}..{arr.max()}")
 
 
@@ -289,10 +318,8 @@ class ModelParams:
     def from_state(cls, net: NetworkConfig, state: dict) -> "ModelParams":
         """The params a state() dict describes, on copies of its arrays;
         a missing or bad value raises KeyError, TypeError or ValueError."""
+        _check_state(net, state)
         keys = sorted(state)  # a prefix's keys: adjacent, below prefix + "~"
-        for l, layer in enumerate(net.layers):
-            for i in range(layer.num_masks):
-                _check_mask_state(layer, state, f"masks.{l}.{i}.")
 
         def adam(prefix):
             opt = Adam(float(state[prefix + "lr"]))
@@ -313,8 +340,8 @@ class ModelParams:
             for pre in (f"masks.{l}.{i}." for i in range(layer.num_masks))]
             for l, layer in enumerate(net.layers)]
         codebooks = [None if cm is None else Codebook(
-            k=int(cm["k"]), initialized=bool(cm["initialized"]),
-            degenerate=bool(cm["degenerate"]),
+            k=int(cm["k"]), initialized=cm["initialized"],
+            degenerate=cm["degenerate"],
             last_displacement=float(cm["last_displacement"]),
             centroids=np.array(state[f"codebooks.{j}.centroids"], float)
             if cm["initialized"] else None)
@@ -342,109 +369,72 @@ class BatchTrace:
     layers: list    # LayerBatch per layer
 
 
-class _WlRowStore:
-    """Layer-0 subtree-kernel rows of every graph the engine has seen, in
-    one append-only CSR matrix over the colors of one persistent
-    WlColorTable.
-
-    Layer-0 labels never change, so a graph's ego balls are refined once:
-    the first batch that reads a graph's rows refines its balls together
-    with the balls of every other new graph of the batch
-    (``refine_union``), maps the union's classes to the colors of the
-    table, which also refines the mask graphs, and appends one row per
-    ball; a color id is its column. A row keeps only the colors a graph
-    of at most d = ``max_mask_nodes`` nodes can hold (``union_colors``):
-    no mask or candidate holds another, so the entries left out add 0 to
-    every dot product. ``indptr``/``indices``/``counts`` are the rows,
-    ``norms`` their full histogram norms and ``rows`` each graph's row
-    range. Stored rows stay valid as new colors extend the table, since
-    existing ids never move.
-    """
-
-    def __init__(self, table: WlColorTable, d: int):
-        self.table = table
-        self.d = d
-        # colors and counts as int32 halve the rows: a color id is below
-        # the table's entry count and a count below a ball's size; batch
-        # casts the counts it gathers to float64, which is exact
-        self.indptr = np.zeros(1, dtype=np.int64)
-        self.indices = np.empty(0, dtype=np.int32)
-        self.counts = np.empty(0, dtype=np.int32)
-        self.norms = np.empty(0)
-        self.rows = {}      # graph -> (first row, end row)
-
-    def batch(self, graphs, balls_of):
-        """The rows of graphs, in batch order, as one float64 CSR matrix
-        over the colors up to the largest they hold, plus their norms. New
-        graphs are stored first; balls_of gives the union of their balls."""
-        new = [g for g in dict.fromkeys(graphs) if g not in self.rows]
-        if new:
-            self._add(new, *balls_of(new))
-        first, end = np.array([self.rows[g] for g in graphs],
-                              dtype=np.int64).reshape(-1, 2).T
-        rows = _ranges(first, end - first)
-        lo = self.indptr[rows]
-        span = self.indptr[rows + 1] - lo
-        at = _ranges(lo, span)
-        indices = self.indices[at]
-        mat = sp.csr_matrix((self.counts[at].astype(np.float64), indices,
-                             np.concatenate(([0], np.cumsum(span)))),
-                            shape=(len(rows), int(indices.max(initial=0)) + 1))
-        return mat, self.norms[rows]
-
-    def _add(self, graphs, indptr, nbrs, origin, sizes):
-        """Refine the balls of graphs (their union, as ``_concat_balls``
-        gives it) and append one row per ball."""
-        labels = np.fromiter(chain.from_iterable(g.labels for g in graphs),
-                             dtype=np.int64, count=len(sizes))
-        union = refine_union(indptr, nbrs, labels[origin], sizes,
-                             self.table.iterations)
-        color = np.repeat(self.table.union_colors(union, indptr, nbrs, self.d),
-                          np.diff(union.col_ptr))
-        at = np.flatnonzero(color >= 0)
-        at = at[np.argsort(union.part[at], kind="stable")]  # row by row
-        row_ptr = np.searchsorted(union.part[at], np.arange(len(sizes) + 1))
-        first = len(self.norms)
-        ends = np.cumsum([first] + [g.num_nodes for g in graphs]).tolist()
-        self.rows.update(zip(graphs, zip(ends, ends[1:])))
-        self.indptr = np.concatenate((self.indptr,
-                                      row_ptr[1:] + self.indptr[-1]))
-        self.indices = np.concatenate(
-            (self.indices, color[at].astype(np.int32)))
-        self.counts = np.concatenate(
-            (self.counts, union.count[at].astype(np.int32)))
-        self.norms = np.concatenate((self.norms, union.norms))
+def _kept_blocks(kept: dict, graphs, radius: int, build) -> list:
+    """Every graph's block at radius, in batch order, from kept, a dict
+    {(graph, radius): block}. build(new) gives the blocks of the graphs
+    not kept yet, each once, in one pass; they are kept."""
+    new = [g for g in dict.fromkeys(graphs) if (g, radius) not in kept]
+    if new:
+        kept.update(zip([(g, radius) for g in new], build(new)))
+    return [kept[(g, radius)] for g in graphs]
 
 
-def _concat_balls(parts):
-    """The disjoint union of several graphs' EgoBalls as CSR arrays
-    (indptr, neighbors), plus the node each union node copies, in the
-    graphs' end-to-end ids, and the ball sizes."""
-    node_off = np.cumsum([0] + [len(p.degree) for p in parts[:-1]])
-    label_off = np.cumsum([0] + [len(p.sizes) for p in parts[:-1]])
-    degree = np.concatenate([p.degree for p in parts])
-    return (np.concatenate(([0], np.cumsum(degree, dtype=np.int64))),
-            np.concatenate([p.nbrs + o for p, o in zip(parts, node_off)]),
-            np.concatenate([p.origin + o for p, o in zip(parts, label_off)]),
-            np.concatenate([p.sizes for p in parts]))
+def _wl_blocks(table: WlColorTable, d: int, graphs, balls) -> list:
+    """Each graph's layer-0 subtree-kernel rows, refined from balls, the
+    union of their balls in ``concat_balls`` form: per graph, the number
+    of entries of each row, their int32 colors and counts end to end,
+    and the rows' norms. A color is one of table, which also refines the
+    mask graphs, so ids never move as the table grows. A row keeps only
+    the colors a graph of at most d nodes can hold (``union_colors``):
+    no mask holds another, so the entries left out add 0 to every dot
+    product; the norms count them."""
+    indptr, nbrs, origin, sizes = balls
+    labels = np.fromiter(chain.from_iterable(g.labels for g in graphs),
+                         dtype=np.int64, count=len(sizes))
+    union = refine_union(indptr, nbrs, labels[origin], sizes,
+                         table.iterations)
+    color = np.repeat(table.union_colors(union, indptr, nbrs, d),
+                      np.diff(union.col_ptr))
+    at = np.flatnonzero(color >= 0)
+    at = at[np.argsort(union.part[at], kind="stable")]  # row by row
+    row_ptr = np.searchsorted(union.part[at], np.arange(len(sizes) + 1))
+    colors = color[at].astype(np.int32)
+    counts = union.count[at].astype(np.int32)
+    first = np.cumsum([0] + [g.num_nodes for g in graphs]).tolist()
+    entry = row_ptr[first].tolist()
+    span = np.diff(row_ptr)
+    return [(span[a:b], colors[e:f], counts[e:f], union.norms[a:b])
+            for a, b, e, f in zip(first, first[1:], entry, entry[1:])]
+
+
+def _row_matrix(blocks) -> tuple:
+    """Layer-0 blocks of a batch as one float64 CSR matrix over the
+    colors up to the largest they hold, plus the rows' norms."""
+    span, colors, counts, norms = map(np.concatenate, zip(*blocks))
+    mat = sp.csr_matrix((counts.astype(np.float64), colors,
+                         np.concatenate(([0], np.cumsum(span)))),
+                        shape=(len(span), int(colors.max(initial=0)) + 1))
+    return mat, norms
 
 
 class ForwardEngine:
     """Batched forward passes with structural caching for one run.
 
-    Ego-ball structure depends only on adjacency, never on labels, so the
-    engine builds each graph's balls once per radius, as a block-diagonal
-    CSR union (``graphs.ego_balls``, run once over all the graphs a batch
-    brings for the first time), and keeps them only at radii that a WL
-    layer above the first reads on every batch.
+    A graph's ego balls, layer-0 WL rows and graphlet3 counts depend on
+    neither the masks nor the labels above layer 0, so the engine keeps
+    each as one block per graph and radius (``_kept_blocks``), building
+    the blocks of all the graphs a batch brings for the first time in one
+    pass; balls only at radii that a WL layer above the first reads on
+    every batch (``graphs.ego_balls``, a block-diagonal CSR union).
 
     Every layer kind plugs into one responses closure (``_column``),
     which scores mask graphs against the ego of every node of the batch,
     one (n, k) block for k masks. A kind supplies the batch's rows, built
-    on the first call, and a mask's statistic: layer 0 gathers its rows
-    from ``_WlRowStore`` as one float CSR matrix and takes a mask's
-    histogram over the store's colors, so a bank is one product of the
-    rows with a dense (colors, k) matrix of counts; a WL layer above the
+    on the first call, and a mask's statistic: layer 0 concatenates its
+    graphs' kept row blocks (``_wl_blocks``) into one float CSR matrix
+    and takes a mask's histogram over the colors of the one table the
+    blocks share, so a bank is one product of the rows with a dense
+    (colors, k) matrix of counts; a WL layer above the
     first refines the union of the batch's balls under its junction's
     labels and takes a mask's norm; a graphlet3 layer reads one (n, 2)
     block of counts per graph and radius, each counted once
@@ -468,9 +458,10 @@ class ForwardEngine:
         self._deep_wl_radii = {layer.radius for layer in net.layers[1:]
                                if layer.kernel.kind == WL_SUBTREE}
         first = net.layers[0]
-        self._l0_store = _WlRowStore(WlColorTable(
-            first.input_dictionary.size, first.kernel.wl_iterations),
-            first.max_mask_nodes) if first.kernel.kind == WL_SUBTREE else None
+        self._l0_table = WlColorTable(
+            first.input_dictionary.size, first.kernel.wl_iterations) \
+            if first.kernel.kind == WL_SUBTREE else None
+        self._l0_rows = {}   # (base graph, radius) -> _wl_blocks block
         self._g3_rows = {}   # (base graph, radius) -> (n, 2) graphlet counts
         self._stats = {}     # layer -> {mask graph: (vector, norm)}, for the
         #                      bank and the candidates its batch scored
@@ -533,46 +524,35 @@ class ForwardEngine:
 
     def _ego_balls(self, graphs, radius: int):
         """The balls of every node of graphs as one union, in
-        ``_concat_balls`` form. Each graph's EgoBalls are kept only at a
-        radius that a WL layer above the first reads on every batch, and
-        the graphs without them are built in one ego_balls pass. At any
-        other radius a graph's balls are read once, to build its rows, so
-        the union is built whole and kept by no one."""
+        ``concat_balls`` form. Each graph's EgoBalls are kept only at a
+        radius that a WL layer above the first reads on every batch. At
+        any other radius a graph's balls are read once, to build its
+        rows, so the union is built whole and kept by no one."""
         if radius not in self._deep_wl_radii:
-            return _concat_balls([ego_balls(graphs, radius)])
-        kept = self._balls
-        new = [g for g in dict.fromkeys(graphs) if (g, radius) not in kept]
-        if new:
-            union = ego_balls(new, radius)
-            first = np.cumsum([0] + [g.num_nodes for g in new])
-            node_at = np.concatenate(
-                ([0], np.cumsum(union.sizes, dtype=np.int64)))[first]
-            edge_at = np.concatenate(
-                ([0], np.cumsum(union.degree, dtype=np.int64)))[node_at]
-            first, node_at, edge_at = (first.tolist(), node_at.tolist(),
-                                       edge_at.tolist())
-            for i, g in enumerate(new):
-                u0, u1 = node_at[i], node_at[i + 1]
-                kept[(g, radius)] = EgoBalls(
-                    degree=union.degree[u0:u1],
-                    nbrs=union.nbrs[edge_at[i]:edge_at[i + 1]] - u0,
-                    origin=union.origin[u0:u1] - first[i],
-                    sizes=union.sizes[first[i]:first[i + 1]])
-        return _concat_balls([kept[(g, radius)] for g in graphs])
+            return concat_balls([ego_balls(graphs, radius)])
+        return concat_balls(_kept_blocks(
+            self._balls, graphs, radius,
+            lambda new: split_balls(ego_balls(new, radius), new)))
 
     def _graphlet_rows(self, graphs, radius: int) -> np.ndarray:
         """graphlet3 counts of the radius-balls of every node of graphs, in
-        batch order; the graphs without a stored block are counted in one
-        pass."""
-        rows = self._g3_rows
-        new = [g for g in dict.fromkeys(graphs) if (g, radius) not in rows]
-        if new:
+        batch order; each graph is counted once."""
+        def count(new):
             indptr, nbrs, _, sizes = self._ego_balls(new, radius)
             counts = graphlet3_union(indptr, nbrs, sizes)
             first = np.cumsum([0] + [g.num_nodes for g in new]).tolist()
-            for g, a, b in zip(new, first, first[1:]):
-                rows[(g, radius)] = counts[a:b]
-        return np.concatenate([rows[(g, radius)] for g in graphs])
+            return [counts[a:b] for a, b in zip(first, first[1:])]
+        return np.concatenate(_kept_blocks(self._g3_rows, graphs, radius,
+                                           count))
+
+    def _layer0_blocks(self, graphs) -> list:
+        """The kept layer-0 WL row blocks of graphs, in batch order; each
+        graph's balls are refined once."""
+        layer = self.net.layers[0]
+        return _kept_blocks(
+            self._l0_rows, graphs, layer.radius,
+            lambda new: _wl_blocks(self._l0_table, layer.max_mask_nodes, new,
+                                   self._ego_balls(new, layer.radius)))
 
     def _column(self, l: int, layer: LayerConfig, graphs, labels,
                 mask_graphs):
@@ -594,11 +574,10 @@ class ForwardEngine:
                 rv = graphlet3_vector(g)
                 return rv, float(np.sqrt(rv @ rv))
         elif l == 0:
-            store = self._l0_store
+            table, d = self._l0_table, layer.max_mask_nodes
 
             def rows():
-                mat, norms = store.batch(
-                    graphs, lambda new: self._ego_balls(new, radius))
+                mat, norms = _row_matrix(self._layer0_blocks(graphs))
                 def dot(hists):  # a color past the last column is in no row
                     counts = np.zeros((mat.shape[1], len(hists)))
                     for j, (colors, c) in enumerate(hists):
@@ -609,11 +588,11 @@ class ForwardEngine:
 
             def stat(g):
                 deg = max(map(len, g.adj), default=0)
-                if deg >= store.d:  # the rows hold no color of such a node
+                if deg >= d:  # the rows hold no color of such a node
                     raise ModelError(f"layer-0 probe has a node of degree "
-                                     f"{deg}, above the bound {store.d - 1}")
-                # interns the mask's colors into the store's table
-                hist = store.table.histogram(g)
+                                     f"{deg}, above the bound {d - 1}")
+                # interns the mask's colors into the rows' table
+                hist = table.histogram(g)
                 colors, counts = np.array(list(hist.items()),
                                           dtype=np.int64).reshape(-1, 2).T
                 return (colors, counts), float(np.sqrt(counts @ counts))

@@ -259,3 +259,30 @@ def test_checkpoint_with_a_misshapen_mask_array_names_file_and_key(
                        + ".*masks\\.0\\.0\\.edge_logits: expected shape "
                        "\\(3,\\), found \\(99,\\)"):
         load_checkpoint(path)
+
+
+# one bad value each, against trained_two_layer's net: 4 features, a
+# 2-unit hidden layer, 2 classes and a k=2 junction after 2 masks
+BAD_PARAMS = {
+    "mlp.W1": lambda p: setattr(p.mlp, "W1", p.mlp.W1.T),
+    "mlp.b2": lambda p: setattr(p.mlp, "b2", np.zeros(5)),
+    "mlp.opt.m.W1": lambda p: p.mlp.opt.m.update(W1=np.zeros(3)),
+    "codebooks.0.centroids": lambda p: setattr(
+        p.codebooks[0], "centroids", np.zeros((4, 1))),
+    "codebooks": lambda p: p.codebooks.clear(),
+    "codebooks.0": lambda p: setattr(p.codebooks[0], "k", 7),
+    "codebooks.0.degenerate": lambda p: setattr(
+        p.codebooks[0], "degenerate", "x"),
+}
+
+
+@pytest.mark.parametrize("key", list(BAD_PARAMS))
+def test_checkpoint_with_misfit_mlp_or_codebook_names_file_and_key(
+        tmp_path, key):
+    # each of these used to load without error
+    _, net, params = trained_two_layer()
+    BAD_PARAMS[key](params)
+    path = save_checkpoint(tmp_path / "model.gkc", net, params)
+    with pytest.raises(CheckpointError, match=re.escape(str(path)) + ".*"
+                       + re.escape(key) + ": expected"):
+        load_checkpoint(path)

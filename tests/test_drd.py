@@ -544,7 +544,7 @@ def test_accepted_noop_edit_keeps_the_mask_graph(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("a no-op edit recomputed a response")
 
-    monkeypatch.setattr(model._WlRowStore, "batch", forbidden)
+    monkeypatch.setattr(model, "_row_matrix", forbidden)
     again = engine.forward_graphs(params, graphs)
     for a, b in zip(trace.features, again.features):
         assert np.array_equal(a, b)

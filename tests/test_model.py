@@ -380,10 +380,8 @@ def layer0_net_and_masks():
 
 
 def block_colors(engine, graphs):
-    store = engine._l0_store
     return set(np.concatenate([
-        store.indices[store.indptr[a]:store.indptr[b]]
-        for a, b in map(store.rows.get, graphs)]).tolist())
+        colors for _, colors, _, _ in engine._layer0_blocks(graphs)]).tolist())
 
 
 def test_layer0_rows_stay_valid_when_a_later_batch_adds_colors():
@@ -501,18 +499,19 @@ def test_layer0_rows_keep_the_colors_of_masks_at_the_bound(kernel):
         assert np.array_equal(lt.responses(probe), want)
     # each stored row is its ego's full histogram without the colors no
     # graph of at most d nodes holds, and leaves out some entries
-    store = engine._l0_store
-    table = copy.deepcopy(store.table)
-    keep = reachable_colors(store.table, d)
-    assert set(store.indices.tolist()) <= keep
+    span, indices, counts, norms = map(
+        np.concatenate, zip(*engine._layer0_blocks(graphs)))
+    indptr = np.concatenate(([0], np.cumsum(span)))
+    table = copy.deepcopy(engine._l0_table)
+    keep = reachable_colors(engine._l0_table, d)
+    assert set(indices.tolist()) <= keep
     full = [table.histogram(g) for g in egos]
-    assert len(store.indices) < sum(map(len, full))
+    assert len(indices) < sum(map(len, full))
     for i, hist in enumerate(full):
-        lo, hi = store.indptr[i], store.indptr[i + 1]
-        row = dict(zip(store.indices[lo:hi].tolist(),
-                       store.counts[lo:hi].tolist()))
+        lo, hi = indptr[i], indptr[i + 1]
+        row = dict(zip(indices[lo:hi].tolist(), counts[lo:hi].tolist()))
         assert row == {c: n for c, n in hist.items() if c in keep}
-        assert store.norms[i] == np.sqrt(sum(n * n for n in hist.values()))
+        assert norms[i] == np.sqrt(sum(n * n for n in hist.values()))
     with pytest.raises(ModelError, match=f"degree {d}, above the bound"):
         lt.responses(star_graph(d, [0] * (d + 1)))
 
@@ -567,7 +566,6 @@ def test_layer0_columns_follow_batches_and_mask_edits(kernel):
     assert_layer0_batch_exact(engine, net, params, pool[1:2], probes,
                               zero_cols={(0, 0)})
     assert_layer0_batch_exact(engine, net, params, pool[1:2], probes)
-    store = engine._l0_store
     # stored and new graphs together, a repeat inside the batch
     assert_layer0_batch_exact(engine, net, params,
                               pool[6:9] + pool[:3] + pool[1:2], probes)
@@ -589,9 +587,10 @@ def test_layer0_columns_follow_batches_and_mask_edits(kernel):
     for g, feat in zip(pool[::-1], trace.features):
         assert memo[g][0].tolist() == list(g.labels)
         assert np.array_equal(memo[g][1], feat)
-    assert sorted(store.rows.values()) == sorted(
-        zip(np.cumsum([0] + [g.num_nodes for g in store.rows])[:-1],
-            np.cumsum([g.num_nodes for g in store.rows])))
+    for g, (span, colors, counts, norms) in zip(
+            pool, engine._layer0_blocks(pool)):
+        assert len(span) == len(norms) == g.num_nodes
+        assert span.sum() == len(colors) == len(counts)
 
 
 def test_layer0_warm_batch_is_a_row_gather(monkeypatch):
@@ -606,7 +605,7 @@ def test_layer0_warm_batch_is_a_row_gather(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("warm layer-0 batch recomputed a response")
 
-    monkeypatch.setattr(model._WlRowStore, "batch", forbidden)
+    monkeypatch.setattr(model, "_row_matrix", forbidden)
     monkeypatch.setattr(scipy.sparse.csr_matrix, "__matmul__", forbidden)
     monkeypatch.setattr(kernels, "csc_dot", forbidden)
     monkeypatch.setattr(scipy.sparse._csr, "csr_tocsc", forbidden)
@@ -642,7 +641,8 @@ def test_layer0_bank_product_matches_per_mask_columns(normalized):
         assert np.array_equal(block[:, :-1], lt.before)
         for i, g in enumerate(probes):
             assert np.array_equal(lt.responses(g), block[:, i])
-        return engine._l0_store.batch(graphs, None)[0].shape[1]
+        return model._row_matrix(
+            engine._layer0_blocks(graphs))[0].shape[1]
 
     for graphs in ([random_graph(rng, n_max=8, dict_size=3)
                     for _ in range(5)],
@@ -650,7 +650,7 @@ def test_layer0_bank_product_matches_per_mask_columns(normalized):
                    [LabeledGraph(0, [], [])]):
         engine = ForwardEngine(net)
         width = width_after(engine, graphs)
-        last = max(engine._l0_store.table.histogram(late))
+        last = max(engine._l0_table.histogram(late))
         assert last >= width
         assert width_after(engine, graphs + [copy.copy(late)]) == last + 1
 
@@ -663,14 +663,14 @@ def test_layer0_rows_die_with_their_batch(monkeypatch):
     graphs = [random_graph(rng, n_max=8, dict_size=3) for _ in range(4)]
     engine = ForwardEngine(net)
     built = []
-    batch = model._WlRowStore.batch
+    row_matrix = model._row_matrix
 
-    def kept_weakly(store, *args):
-        mat, norms = batch(store, *args)
+    def kept_weakly(blocks):
+        mat, norms = row_matrix(blocks)
         built.append(weakref.ref(mat))
         return mat, norms
 
-    monkeypatch.setattr(model._WlRowStore, "batch", kept_weakly)
+    monkeypatch.setattr(model, "_row_matrix", kept_weakly)
     gc.disable()
     try:
         trace = engine.forward_graphs(params, graphs)
@@ -1155,35 +1155,62 @@ def test_graphlet_rows_match_ego_subgraph(r):
                           reference_rows(graphs, r))
 
 
-def test_graphlet_rows_count_each_graph_once(monkeypatch):
+# cache -> (kernel and radius per layer, the builder the cache calls and
+# the nodes whose blocks one call builds; deep balls are those at radius 2)
+COUNTED_CACHES = {
+    "graphlet_counts": (((G3, 2),), "graphlet3_union",
+                        lambda indptr, indices, sizes: len(sizes)),
+    "layer0_rows": (((WL2, 2),), "refine_union",
+                    lambda indptr, indices, labels, sizes, iters: len(sizes)),
+    "deep_balls": (((WL2, 1), (WL2, 2)), "ego_balls",
+                   lambda graphs, r: sum(g.num_nodes for g in graphs)
+                   if r == 2 else None)}
+
+
+def assert_cache_counts_each_graph_once(monkeypatch, cache):
+    # a batch that mixes kept and new graphs builds the new graphs'
+    # blocks only, in one call
     rng = np.random.default_rng(21)
     corpus = graphlet_corpus(rng)
-    net = NetworkConfig(layers=(layer(num_masks=3, nodes=4, radius=2,
-                                      kernel=G3, dict_size=2),),
-                        quantizer_k=())
+    kinds, builder, nodes = COUNTED_CACHES[cache]
+    net = NetworkConfig(
+        layers=tuple(layer(num_masks=3, nodes=4, radius=r, kernel=k,
+                           dict_size=2) for k, r in kinds),
+        quantizer_k=(None,) * (len(kinds) - 1))
     params = make_params(net, rng)
     counted = []
-    real_union = model.graphlet3_union
+    real_builder = getattr(model, builder)
 
-    def count_union(indptr, indices, sizes):
-        counted.append(len(sizes))
-        return real_union(indptr, indices, sizes)
+    def count(*args):
+        if (built := nodes(*args)) is not None:
+            counted.append(built)
+        return real_builder(*args)
 
-    monkeypatch.setattr(model, "graphlet3_union", count_union)
+    monkeypatch.setattr(model, builder, count)
     engine = ForwardEngine(net)
     engine.forward_graphs(params, corpus[:5])
-    # seen and new graphs, one of them twice
-    batch = corpus[2:] + corpus[3:4] + corpus[:1]
+    # seen and new graphs, a seen and a new one twice
+    batch = corpus[2:] + corpus[3:4] + corpus[:1] + corpus[5:6]
     trace = engine.forward_graphs(params, batch)
     assert counted == [sum(g.num_nodes for g in corpus[:5]),
                        sum(g.num_nodes for g in corpus[5:])]
-    assert np.array_equal(engine._graphlet_rows(batch, 2),
-                          reference_rows(batch, 2))
+    if cache == "graphlet_counts":
+        assert np.array_equal(engine._graphlet_rows(batch, 2),
+                              reference_rows(batch, 2))
     for g, feat in zip(batch, trace.features):
         if g.num_nodes:
             assert np.array_equal(feat, network_forward(net, params, g))
         else:
             assert feat.shape == (0, net.feature_dim)
+
+
+def test_graphlet_rows_count_each_graph_once(monkeypatch):
+    assert_cache_counts_each_graph_once(monkeypatch, "graphlet_counts")
+
+
+@pytest.mark.parametrize("cache", ["layer0_rows", "deep_balls"])
+def test_wl_caches_count_each_graph_once(monkeypatch, cache):
+    assert_cache_counts_each_graph_once(monkeypatch, cache)
 
 
 @pytest.mark.parametrize("kinds", [(G3,), (WL2, G3)],
